@@ -35,9 +35,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use axiom::AxiomMultiMap;
+use paper_bench::{percentile, to_op};
 use serving::{Engine, EngineConfig, MultiMapRead, MultiMapReply};
 use sharded::ShardedMultiMap;
-use workloads::concurrent::{serving_workload, KeyMix, ReadProbe, ServingProfile};
+use workloads::concurrent::{serving_workload, KeyMix, ServingProfile};
 
 const SEED: u64 = 13;
 const SHARDS: usize = 8;
@@ -45,22 +46,6 @@ const SUBMITTERS: usize = 2;
 const PROBES_PER_REQUEST: usize = 8;
 
 type Store = ShardedMultiMap<u32, u32, AxiomMultiMap<u32, u32>>;
-
-fn to_op(probe: &ReadProbe) -> MultiMapRead<u32, u32> {
-    match probe {
-        ReadProbe::ValuesOf(k) => MultiMapRead::ValuesOf(*k),
-        ReadProbe::ContainsKey(k) => MultiMapRead::ContainsKey(*k),
-        ReadProbe::FanOut(ks) => MultiMapRead::FanOut(ks.clone()),
-    }
-}
-
-fn percentile(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx] as f64 / 1_000.0 // ns -> µs
-}
 
 struct MixRow {
     mix: &'static str,

@@ -14,7 +14,7 @@
 //! The `rtt` row is the floor underneath those numbers: a single
 //! connection ping-ponging one-op batches, which is what the protocol
 //! plus loopback costs before any real answering work. The `pipeline`
-//! rows send the same one-op requests through [`Client::pipeline`] at
+//! rows send the same one-op requests through [`serving::Client::pipeline`] at
 //! window depths 1/8/32 — the depth-1 row should track `rtt`, and the
 //! deeper rows show how much of the per-request round trip pipelining
 //! recovers. Probe counts come back over the wire too, via the Stats op.
@@ -38,10 +38,11 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use axiom::AxiomMultiMap;
+use paper_bench::{percentile, to_op};
 use serving::{Engine, MultiMapClient, MultiMapRead, ScriptOp, Server};
 use sharded::ShardedMultiMap;
 use trie_common::ops::MultiMapEdit;
-use workloads::concurrent::{round_robin, serving_workload, KeyMix, ReadProbe, ServingProfile};
+use workloads::concurrent::{round_robin, serving_workload, KeyMix, ServingProfile};
 
 const SEED: u64 = 13;
 const SHARDS: usize = 8;
@@ -49,22 +50,6 @@ const CLIENTS: usize = 2;
 const PROBES_PER_REQUEST: usize = 8;
 
 type Store = ShardedMultiMap<u32, u32, AxiomMultiMap<u32, u32>>;
-
-fn to_op(probe: &ReadProbe) -> MultiMapRead<u32, u32> {
-    match probe {
-        ReadProbe::ValuesOf(k) => MultiMapRead::ValuesOf(*k),
-        ReadProbe::ContainsKey(k) => MultiMapRead::ContainsKey(*k),
-        ReadProbe::FanOut(ks) => MultiMapRead::FanOut(ks.clone()),
-    }
-}
-
-fn percentile(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx] as f64 / 1_000.0 // ns -> µs
-}
 
 struct MixRow {
     mix: &'static str,

@@ -24,10 +24,32 @@
 pub mod figure;
 
 use heapmodel::{JvmArch, JvmFootprint, LayoutPolicy};
+use serving::MultiMapRead;
 use trie_common::ops::{MapOps, MultiMapOps, TransientOps};
 use workloads::build::{map_persistent, multimap_persistent, multimap_transient};
+use workloads::concurrent::ReadProbe;
 use workloads::data::{MapWorkload, MultiMapWorkload};
 use workloads::timing::{measure, BenchOptions, Stats};
+
+/// The serving read a scripted workload probe stands for (shared by the
+/// in-process and wire serving benchmarks).
+pub fn to_op(probe: &ReadProbe) -> MultiMapRead<u32, u32> {
+    match probe {
+        ReadProbe::ValuesOf(k) => MultiMapRead::ValuesOf(*k),
+        ReadProbe::ContainsKey(k) => MultiMapRead::ContainsKey(*k),
+        ReadProbe::FanOut(ks) => MultiMapRead::FanOut(ks.clone()),
+    }
+}
+
+/// The `q`-quantile of ascending nanosecond samples, in µs (rounded rank;
+/// 0 for no samples).
+pub fn percentile(sorted: &[u64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[idx] as f64 / 1_000.0 // ns -> µs
+}
 
 /// Per-operation timings of one multi-map implementation on one workload.
 #[derive(Debug, Clone, Copy)]

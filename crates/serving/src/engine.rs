@@ -17,7 +17,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -39,7 +39,8 @@ pub struct EngineConfig {
     /// available parallelism).
     pub read_workers: usize,
     /// Attempts a [`Engine::transact`] call makes before giving up
-    /// (first try included).
+    /// (first try included). Attempts past half the budget run without
+    /// other transactions alongside.
     pub txn_attempts: usize,
     /// Per-shard admission-lane capacity, in staged batches. `None`
     /// (default) keeps the lanes unbounded; `Some(n)` bounds each lane at
@@ -322,6 +323,9 @@ pub struct Engine<S: Serve> {
     lanes: Arc<Lanes<S::Edit>>,
     stats: Arc<StatsCore>,
     txn_attempts: usize,
+    /// Shared by optimistic transaction attempts, taken exclusively by an
+    /// attempt that has already conflicted through half the budget.
+    txn_gate: RwLock<()>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -369,6 +373,7 @@ impl<S: Serve> Engine<S> {
             lanes,
             stats,
             txn_attempts: config.txn_attempts.max(1),
+            txn_gate: RwLock::new(()),
             workers,
         }
     }
@@ -408,11 +413,13 @@ impl<S: Serve> Engine<S> {
     /// [`Engine::submit`] with a visibility floor: the batch is pinned at
     /// an epoch `>= min_epoch` *on the calling thread* (blocking via
     /// [`Serve::pin_after`] until the store publishes one if necessary),
-    /// then queued — the asynchronous twin of
-    /// [`Engine::execute_at_least`], and the read path of the pipelined
-    /// wire server. The same floor caveat applies: a floor above
-    /// anything the store will ever publish blocks here forever, so
-    /// callers must pre-check against [`Serve::current_epoch`].
+    /// then queued — the session primitive behind cross-connection
+    /// read-your-writes, and the read path of the pipelined wire server:
+    /// pass the visibility epoch a write ack carried and the reply is
+    /// guaranteed to include that write. A floor of `0` never blocks, but
+    /// a floor above anything the store will ever publish blocks here
+    /// forever, so callers must pre-check against [`Serve::current_epoch`]
+    /// (the wire server rejects such floors up front with `FutureEpoch`).
     pub fn submit_at_least(&self, min_epoch: u64, ops: Vec<S::Read>) -> ReadTicket<S::Reply> {
         self.submit_pinned(self.pin_at_least(min_epoch), ops)
     }
@@ -468,20 +475,6 @@ impl<S: Serve> Engine<S> {
     /// single-pin consistency as [`Engine::submit`], no queueing).
     pub fn execute(&self, ops: &[S::Read]) -> BatchReply<S::Reply> {
         self.answer_with(self.store.pin(), ops)
-    }
-
-    /// [`Engine::execute`] with a visibility floor: the batch is answered
-    /// against an epoch `>= min_epoch`, blocking (via
-    /// [`Serve::pin_after`]) until the store publishes one if necessary.
-    ///
-    /// This is the session primitive behind cross-connection
-    /// read-your-writes: pass the visibility epoch a write ack carried and
-    /// the reply is guaranteed to include that write. A floor of `0` never
-    /// blocks. Beware floors above anything the store will ever publish —
-    /// they block until the store catches up (the wire server rejects such
-    /// floors up front with `FutureEpoch` instead of parking a handler).
-    pub fn execute_at_least(&self, min_epoch: u64, ops: &[S::Read]) -> BatchReply<S::Reply> {
-        self.answer_with(self.pin_at_least(min_epoch), ops)
     }
 
     /// Pins an epoch `>= min_epoch`, long-polling if the store has not
@@ -628,6 +621,14 @@ impl<S: Serve> Engine<S> {
     /// republished in between. On conflict the body is re-run against a
     /// fresh pin, up to the configured attempt budget.
     ///
+    /// Attempts run concurrently with each other until half the budget
+    /// has conflicted; the remaining attempts each run alone, with every
+    /// other transaction held off from pin to commit, so a slow body
+    /// cannot be starved by a stream of fast ones. Staged writes and direct
+    /// store writes are never held off, and no shard lock is held while
+    /// the body runs. A body must not call `transact` on the same engine:
+    /// the nested call would wait for the gate its caller holds.
+    ///
     /// The commit bypasses the admission lanes (it must validate-and-apply
     /// atomically), so transactional writers can contend with appliers on
     /// the per-shard write locks — the intended trade: staged traffic for
@@ -638,6 +639,16 @@ impl<S: Serve> Engine<S> {
     ) -> Result<TxnOutcome<R>, TxnError> {
         let mut last = None;
         for attempt in 1..=self.txn_attempts {
+            // The gate guards no data, so a body that panicked while
+            // holding it leaves nothing to recover but the lock itself.
+            let alone = attempt > self.txn_attempts.div_ceil(2);
+            let _shared =
+                (!alone).then(|| self.txn_gate.read().unwrap_or_else(PoisonError::into_inner));
+            let _alone = alone.then(|| {
+                self.txn_gate
+                    .write()
+                    .unwrap_or_else(PoisonError::into_inner)
+            });
             let mut txn = Txn::pinned(self.store.pin());
             let value = body(&mut txn);
             let (snap, reads, writes) = txn.into_parts();

@@ -92,14 +92,16 @@ pub use session::{
     Client, ClientError, MapClient, MultiMapClient, ScriptOp, ScriptReply, SetClient,
 };
 pub use sharded::EpochConflict;
-pub use store::Serve;
+pub use store::{ReadVocabulary, Serve};
 pub use txn::{Txn, TxnError, TxnOutcome};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sharded::{ShardedMap, ShardedMultiMap, ShardedSet};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
+    use std::time::Duration;
     use trie_common::ops::{MapEdit, MultiMapEdit, SetEdit};
 
     #[test]
@@ -232,6 +234,41 @@ mod tests {
         let TxnError::Exhausted { attempts, .. } = err;
         assert_eq!(attempts, 3);
         assert_eq!(engine.stats().txn_conflicts, 3);
+    }
+
+    #[test]
+    fn slow_transaction_commits_beside_a_stream_of_fast_ones() {
+        let store: Arc<ShardedMap<u32, u32>> = Arc::new(ShardedMap::with_shards(2));
+        store.insert(1, 0);
+        let engine = Engine::new(Arc::clone(&store));
+        let increment = |txn: &mut Txn<ShardedMap<u32, u32>>, by: u32, pause: Duration| {
+            let MapReply::Value(v) = txn.read(&MapRead::Get(1)) else {
+                unreachable!()
+            };
+            std::thread::sleep(pause);
+            txn.write(MapEdit::Insert(1, v.unwrap() + by));
+        };
+        let done = AtomicBool::new(false);
+        let fast = std::thread::scope(|s| {
+            let fast = s.spawn(|| {
+                let mut commits = 0u32;
+                while !done.load(Ordering::Acquire) {
+                    engine
+                        .transact(|txn| increment(txn, 1, Duration::ZERO))
+                        .expect("fast transactions commit");
+                    commits += 1;
+                }
+                commits
+            });
+            // The fast stream commits many times during every 2 ms pause,
+            // so each optimistic attempt of the slow body conflicts; it
+            // must still commit within the default budget.
+            let slow = engine.transact(|txn| increment(txn, 1000, Duration::from_millis(2)));
+            done.store(true, Ordering::Release);
+            slow.expect("the slow transaction commits");
+            fast.join().unwrap()
+        });
+        assert_eq!(store.get_cloned(&1), Some(1000 + fast));
     }
 
     #[test]

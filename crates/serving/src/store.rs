@@ -1,17 +1,20 @@
-//! The [`Serve`] trait: what the engine needs from a store.
+//! The [`Serve`] trait: what the engine needs from a store, implemented
+//! once for the generic [`Sharded`] store.
 //!
-//! Each sharded wrapper ([`ShardedMap`], [`ShardedSet`],
-//! [`ShardedMultiMap`]) implements `Serve` with its own typed read/reply
-//! vocabulary from [`crate::ops`] and its edit type from
-//! [`trie_common::ops`]. The engine itself is generic: one worker pool,
-//! one admission layer, one transaction protocol for all three.
+//! Every sharded collection is a `Sharded<E, C>` whose edit enum `E`
+//! ([`MapEdit`], [`SetEdit`] or [`MultiMapEdit`]) names its kind, so one
+//! `impl Serve` covers all three. The only thing a kind adds is its typed
+//! read vocabulary: [`ReadVocabulary`], implemented on each edit enum,
+//! names the read and reply types from [`crate::ops`] and answers them
+//! against a pinned snapshot. The engine itself is generic: one worker
+//! pool, one admission layer, one transaction protocol for all three.
 
 use std::hash::Hash;
 
-use sharded::{EpochConflict, ShardedMap, ShardedMultiMap, ShardedSet};
+use sharded::{EpochConflict, ShardKind, Sharded, Snapshot};
 use trie_common::ops::{
-    MapEdit, MapMutOps, MapOps, MultiMapEdit, MultiMapMutOps, MultiMapOps, SetEdit, SetMutOps,
-    SetOps,
+    MapEdit, MapMergeOps, MapMutOps, MultiMapAlgebraOps, MultiMapEdit, MultiMapMutOps,
+    SetAlgebraOps, SetEdit, SetMutOps,
 };
 
 use crate::ops::{MapRead, MapReply, MultiMapRead, MultiMapReply, SetRead, SetReply};
@@ -74,38 +77,87 @@ pub trait Serve: Send + Sync + 'static {
     ) -> Result<isize, EpochConflict>;
 }
 
-impl<K, V, M> Serve for ShardedMap<K, V, M>
-where
-    K: Hash + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    M: MapOps<K, V> + MapMutOps<K, V> + Send + Sync + 'static,
-{
-    type Read = MapRead<K>;
-    type Reply = MapReply<K, V>;
-    type Edit = MapEdit<K, V>;
-    type Snapshot = sharded::MapSnapshot<K, V, M>;
+/// The typed reads one kind of sharded store serves, implemented on the
+/// kind's edit enum over its shard trie `C`.
+pub trait ReadVocabulary<C>: ShardKind<C> {
+    /// One typed read operation.
+    type Read: Send + 'static;
+    /// The reply to one read operation.
+    type Reply: Send + 'static;
 
-    fn pin(&self) -> Self::Snapshot {
+    /// Answers one read against a pinned snapshot.
+    fn answer(snap: &Snapshot<Self, C>, op: &Self::Read) -> Self::Reply;
+
+    /// Appends the shard indices `op` reads from to `out`.
+    fn read_shards(snap: &Snapshot<Self, C>, op: &Self::Read, out: &mut Vec<usize>);
+}
+
+impl<E, C> Serve for Sharded<E, C>
+where
+    E: ReadVocabulary<C> + Send + 'static,
+    C: Clone + Send + Sync + 'static,
+{
+    type Read = E::Read;
+    type Reply = E::Reply;
+    type Edit = E;
+    type Snapshot = Snapshot<E, C>;
+
+    fn pin(&self) -> Snapshot<E, C> {
         self.snapshot()
     }
 
-    fn pin_after(&self, epoch: u64) -> Self::Snapshot {
+    fn pin_after(&self, epoch: u64) -> Snapshot<E, C> {
         self.snapshot_after(epoch)
     }
 
-    fn epoch_of(snap: &Self::Snapshot) -> u64 {
+    fn epoch_of(snap: &Snapshot<E, C>) -> u64 {
         snap.epoch()
     }
 
     fn current_epoch(&self) -> u64 {
-        ShardedMap::current_epoch(self)
+        Sharded::current_epoch(self)
     }
 
     fn shard_count(&self) -> usize {
-        ShardedMap::shard_count(self)
+        Sharded::shard_count(self)
     }
 
-    fn answer(snap: &Self::Snapshot, op: &Self::Read) -> Self::Reply {
+    fn answer(snap: &Snapshot<E, C>, op: &E::Read) -> E::Reply {
+        E::answer(snap, op)
+    }
+
+    fn read_shards(snap: &Snapshot<E, C>, op: &E::Read, out: &mut Vec<usize>) {
+        E::read_shards(snap, op, out)
+    }
+
+    fn edit_shard(&self, edit: &E) -> usize {
+        self.shard_of(edit.edit_key())
+    }
+
+    fn apply(&self, batch: Vec<E>) -> isize {
+        Sharded::apply(self, batch)
+    }
+
+    fn apply_validated(
+        &self,
+        base: &Snapshot<E, C>,
+        read_shards: &[usize],
+        batch: Vec<E>,
+    ) -> Result<isize, EpochConflict> {
+        Sharded::apply_validated(self, base, read_shards, batch)
+    }
+}
+
+impl<K, V, M> ReadVocabulary<M> for MapEdit<K, V>
+where
+    K: Hash + Clone + Send + 'static,
+    V: Clone + PartialEq + Send + 'static,
+    M: MapMutOps<K, V> + MapMergeOps<K, V>,
+{
+    type Read = MapRead<K>;
+    type Reply = MapReply<K, V>;
+
+    fn answer(snap: &Snapshot<Self, M>, op: &MapRead<K>) -> MapReply<K, V> {
         match op {
             MapRead::Get(k) => MapReply::Value(snap.get(k).cloned()),
             MapRead::Contains(k) => MapReply::Bool(snap.contains_key(k)),
@@ -119,62 +171,23 @@ where
         }
     }
 
-    fn read_shards(snap: &Self::Snapshot, op: &Self::Read, out: &mut Vec<usize>) {
+    fn read_shards(snap: &Snapshot<Self, M>, op: &MapRead<K>, out: &mut Vec<usize>) {
         match op {
             MapRead::Get(k) | MapRead::Contains(k) => out.push(snap.shard_of(k)),
             MapRead::Scan { .. } | MapRead::Len => out.extend(0..snap.shard_count()),
         }
     }
-
-    fn edit_shard(&self, edit: &Self::Edit) -> usize {
-        self.shard_of(edit.key())
-    }
-
-    fn apply(&self, batch: Vec<Self::Edit>) -> isize {
-        ShardedMap::apply(self, batch)
-    }
-
-    fn apply_validated(
-        &self,
-        base: &Self::Snapshot,
-        read_shards: &[usize],
-        batch: Vec<Self::Edit>,
-    ) -> Result<isize, EpochConflict> {
-        ShardedMap::apply_validated(self, base, read_shards, batch)
-    }
 }
 
-impl<T, S> Serve for ShardedSet<T, S>
+impl<T, S> ReadVocabulary<S> for SetEdit<T>
 where
-    T: Hash + Clone + Send + Sync + 'static,
-    S: SetOps<T> + SetMutOps<T> + Send + Sync + 'static,
+    T: Hash + Clone + Send + 'static,
+    S: SetMutOps<T> + SetAlgebraOps<T>,
 {
     type Read = SetRead<T>;
     type Reply = SetReply<T>;
-    type Edit = SetEdit<T>;
-    type Snapshot = sharded::SetSnapshot<T, S>;
 
-    fn pin(&self) -> Self::Snapshot {
-        self.snapshot()
-    }
-
-    fn pin_after(&self, epoch: u64) -> Self::Snapshot {
-        self.snapshot_after(epoch)
-    }
-
-    fn epoch_of(snap: &Self::Snapshot) -> u64 {
-        snap.epoch()
-    }
-
-    fn current_epoch(&self) -> u64 {
-        ShardedSet::current_epoch(self)
-    }
-
-    fn shard_count(&self) -> usize {
-        ShardedSet::shard_count(self)
-    }
-
-    fn answer(snap: &Self::Snapshot, op: &Self::Read) -> Self::Reply {
+    fn answer(snap: &Snapshot<Self, S>, op: &SetRead<T>) -> SetReply<T> {
         match op {
             SetRead::Contains(v) => SetReply::Bool(snap.contains(v)),
             SetRead::Scan { limit } => SetReply::Elems(snap.iter().take(*limit).cloned().collect()),
@@ -182,63 +195,24 @@ where
         }
     }
 
-    fn read_shards(snap: &Self::Snapshot, op: &Self::Read, out: &mut Vec<usize>) {
+    fn read_shards(snap: &Snapshot<Self, S>, op: &SetRead<T>, out: &mut Vec<usize>) {
         match op {
             SetRead::Contains(v) => out.push(snap.shard_of(v)),
             SetRead::Scan { .. } | SetRead::Len => out.extend(0..snap.shard_count()),
         }
     }
-
-    fn edit_shard(&self, edit: &Self::Edit) -> usize {
-        self.shard_of(edit.key())
-    }
-
-    fn apply(&self, batch: Vec<Self::Edit>) -> isize {
-        ShardedSet::apply(self, batch)
-    }
-
-    fn apply_validated(
-        &self,
-        base: &Self::Snapshot,
-        read_shards: &[usize],
-        batch: Vec<Self::Edit>,
-    ) -> Result<isize, EpochConflict> {
-        ShardedSet::apply_validated(self, base, read_shards, batch)
-    }
 }
 
-impl<K, V, M> Serve for ShardedMultiMap<K, V, M>
+impl<K, V, M> ReadVocabulary<M> for MultiMapEdit<K, V>
 where
-    K: Hash + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    M: MultiMapOps<K, V> + MultiMapMutOps<K, V> + Send + Sync + 'static,
+    K: Hash + Clone + Send + 'static,
+    V: Clone + Send + 'static,
+    M: MultiMapMutOps<K, V> + MultiMapAlgebraOps<K, V>,
 {
     type Read = MultiMapRead<K, V>;
     type Reply = MultiMapReply<K, V>;
-    type Edit = MultiMapEdit<K, V>;
-    type Snapshot = sharded::MultiMapSnapshot<K, V, M>;
 
-    fn pin(&self) -> Self::Snapshot {
-        self.snapshot()
-    }
-
-    fn pin_after(&self, epoch: u64) -> Self::Snapshot {
-        self.snapshot_after(epoch)
-    }
-
-    fn epoch_of(snap: &Self::Snapshot) -> u64 {
-        snap.epoch()
-    }
-
-    fn current_epoch(&self) -> u64 {
-        ShardedMultiMap::current_epoch(self)
-    }
-
-    fn shard_count(&self) -> usize {
-        ShardedMultiMap::shard_count(self)
-    }
-
-    fn answer(snap: &Self::Snapshot, op: &Self::Read) -> Self::Reply {
+    fn answer(snap: &Snapshot<Self, M>, op: &MultiMapRead<K, V>) -> MultiMapReply<K, V> {
         match op {
             MultiMapRead::ValuesOf(k) => {
                 MultiMapReply::Values(snap.values_of(k).cloned().collect())
@@ -260,7 +234,7 @@ where
         }
     }
 
-    fn read_shards(snap: &Self::Snapshot, op: &Self::Read, out: &mut Vec<usize>) {
+    fn read_shards(snap: &Snapshot<Self, M>, op: &MultiMapRead<K, V>, out: &mut Vec<usize>) {
         match op {
             MultiMapRead::ValuesOf(k)
             | MultiMapRead::ContainsKey(k)
@@ -270,22 +244,5 @@ where
                 out.extend(0..snap.shard_count())
             }
         }
-    }
-
-    fn edit_shard(&self, edit: &Self::Edit) -> usize {
-        self.shard_of(edit.key())
-    }
-
-    fn apply(&self, batch: Vec<Self::Edit>) -> isize {
-        ShardedMultiMap::apply(self, batch)
-    }
-
-    fn apply_validated(
-        &self,
-        base: &Self::Snapshot,
-        read_shards: &[usize],
-        batch: Vec<Self::Edit>,
-    ) -> Result<isize, EpochConflict> {
-        ShardedMultiMap::apply_validated(self, base, read_shards, batch)
     }
 }

@@ -1,4 +1,4 @@
-//! **sharded** — concurrent, shard-partitioned wrappers over the persistent
+//! **sharded** — a concurrent, shard-partitioned store over the persistent
 //! hash tries.
 //!
 //! The persistent collections in this workspace ([`axiom`], `champ`, `hamt`,
@@ -27,6 +27,22 @@
 //!    query the immutable tries lock-free for as long as they like; they
 //!    always see a complete batch, never a partial one.
 //!
+//! # One generic store, three kinds
+//!
+//! All of this is written once, in [`Sharded<E, C>`] (the store) and
+//! [`Snapshot<E, C>`] (one pinned epoch of it). `C` is the shard trie and
+//! `E` is the kind's edit enum — [`MultiMapEdit`](trie_common::ops::MultiMapEdit),
+//! [`MapEdit`](trie_common::ops::MapEdit) or
+//! [`SetEdit`](trie_common::ops::SetEdit) — which fixes the key and value
+//! types and tells the kinds apart. [`ShardKind`], implemented once per
+//! edit enum, supplies the little that differs: routing keys, the `_mut`
+//! edit, the element count, per-shard iteration and encoding, and the
+//! structural diff. The familiar names are aliases over today's default
+//! tries, e.g.
+//! `ShardedMultiMap<K, V, M = AxiomMultiMap<K, V>> = Sharded<MultiMapEdit<K, V>, M>`,
+//! and each kind adds its own reads and point edits (`values_of`, `get`,
+//! `contains`, `insert`, …) in a small inherent impl.
+//!
 //! # Consistency model
 //!
 //! Globally serializable publication: all shards publish under **one**
@@ -41,9 +57,10 @@
 //!
 //! # `Send`/`Sync` reasoning
 //!
-//! `ShardedMultiMap<K, V, M>` is `Send + Sync` whenever `M` is: published
-//! state is a `Mutex<Arc<…>>` bundle plus per-shard `Mutex<()>` write locks
-//! (all `Send + Sync` for `M: Send + Sync`), and the trie handles
+//! `Sharded<E, C>` is `Send + Sync` whenever `C` is (the kind `E` is only
+//! a type-level tag): published state is a `Mutex<Arc<…>>` bundle plus
+//! per-shard `Mutex<()>` write locks (all `Send + Sync` for
+//! `C: Send + Sync`), and the trie handles
 //! themselves are `Arc`-based persistent
 //! structures that are `Send + Sync` for `Send + Sync` element types. The
 //! aliasing discipline that makes this sound is the `Arc::get_mut`
@@ -80,11 +97,12 @@ mod set;
 mod shards;
 mod snapshot;
 
-pub use map::{MapEpoch, MapSnapshot, ShardedMap, SnapshotEntries};
-pub use multimap::{MultiMapEpoch, MultiMapSnapshot, ShardedMultiMap, SnapshotTuples};
+pub use map::{MapSnapshot, ShardedMap};
+pub use multimap::{MultiMapSnapshot, ShardedMultiMap};
 pub use partition::{partition_by, partition_tuples, Partition, MAX_SHARDS};
 pub use publish::EpochConflict;
-pub use set::{SetEpoch, SetSnapshot, ShardedSet, SnapshotElems};
+pub use set::{SetSnapshot, ShardedSet};
+pub use shards::{ShardKind, Sharded, Snapshot, SnapshotIter};
 
 /// Default shard count: the available parallelism rounded up to a power of
 /// two (capped at [`MAX_SHARDS`]; 1 when parallelism cannot be queried).

@@ -1,36 +1,19 @@
-//! The concurrent sharded multi-map.
-//!
-//! See the [crate documentation](crate) for the architecture; this module
-//! holds the write-side handle [`ShardedMultiMap`], the read-side
-//! [`MultiMapSnapshot`] (a pinned epoch), and the snapshot's flattened
-//! tuple iterator. The shard-array machinery itself (routing, batching,
-//! the epoch cell, the scoped-thread drivers) lives once in the
-//! crate-private `ShardSet`.
+//! The sharded multi-map: [`MultiMapEdit`] as the kind of [`Sharded`], plus
+//! the multi-map reads and point edits (see the [crate documentation](crate)
+//! for the architecture).
 
 use std::hash::Hash;
-use std::marker::PhantomData;
-use std::sync::Arc;
 
 use axiom::AxiomMultiMap;
-use trie_common::ops::{
-    Builder, MultiMapAlgebraOps, MultiMapDiff, MultiMapEdit, MultiMapMutOps, MultiMapOps,
-    TransientOps,
-};
+use serde::Serialize;
+use trie_common::ops::{MultiMapAlgebraOps, MultiMapDiff, MultiMapEdit, MultiMapMutOps};
+use trie_common::snapshot::{encode_section, Kind, Section, SnapshotError};
 
-use crate::default_shard_count;
-use crate::partition::Partition;
-use crate::publish::{EpochConflict, EpochCore};
-use crate::shards::ShardSet;
+use crate::shards::{ShardKind, Sharded, Snapshot, SnapshotIter};
 
-/// A concurrent multi-map: `N` persistent tries (one per slice of the key
-/// space) published under one global epoch sequence.
-///
-/// Writers batch edits into shard-local successors built through the `_mut`
-/// protocol and publish with one pointer swap (a multi-shard batch commits
-/// as **one** epoch); readers pin [`MultiMapSnapshot`]s and query them
-/// lock-free. The backing trie `M` defaults to [`AxiomMultiMap`] but any
-/// [`MultiMapOps`] + [`MultiMapMutOps`] + [`TransientOps`] implementation
-/// works.
+/// A concurrent multi-map: [`Sharded`] over multi-map tries `M`, which
+/// default to [`AxiomMultiMap`] (any trie with the multi-map `_mut` and
+/// algebra protocols works).
 ///
 /// # Examples
 ///
@@ -48,156 +31,127 @@ use crate::shards::ShardSet;
 /// assert_eq!(snap.value_count(&1), 2); // the snapshot is unaffected
 /// assert_eq!(mm.tuple_count(), 1);
 /// ```
-pub struct ShardedMultiMap<K, V, M = AxiomMultiMap<K, V>> {
-    core: ShardSet<M>,
-    _tuple: PhantomData<fn() -> (K, V)>,
-}
+pub type ShardedMultiMap<K, V, M = AxiomMultiMap<K, V>> = Sharded<MultiMapEdit<K, V>, M>;
 
-impl<K, V, M> ShardedMultiMap<K, V, M> {
-    /// Wraps a pre-built shard set (the restore path in `snapshot.rs`).
-    pub(crate) fn from_core(core: ShardSet<M>) -> Self {
-        ShardedMultiMap {
-            core,
-            _tuple: PhantomData,
+/// A pinned epoch of a [`ShardedMultiMap`].
+pub type MultiMapSnapshot<K, V, M = AxiomMultiMap<K, V>> = Snapshot<MultiMapEdit<K, V>, M>;
+
+impl<K, V, M> ShardKind<M> for MultiMapEdit<K, V>
+where
+    K: Hash + Clone,
+    V: Clone,
+    M: MultiMapMutOps<K, V> + MultiMapAlgebraOps<K, V>,
+{
+    type Key = K;
+    type Value = V;
+    type Item = (K, V);
+    type Diff = MultiMapDiff<K, V>;
+    type Iter<'a>
+        = M::Tuples<'a>
+    where
+        Self: 'a,
+        M: 'a;
+    const KIND: Kind = Kind::MultiMap;
+
+    fn edit_key(&self) -> &K {
+        self.key()
+    }
+
+    fn item_key((key, _): &(K, V)) -> &K {
+        key
+    }
+
+    fn empty() -> M {
+        M::empty()
+    }
+
+    fn count(shard: &M) -> usize {
+        shard.tuple_count()
+    }
+
+    fn apply_mut(shard: &mut M, edit: Self) -> isize {
+        shard.apply_mut(edit)
+    }
+
+    fn iter(shard: &M) -> M::Tuples<'_> {
+        shard.tuples()
+    }
+
+    fn encode(shard: &M) -> Result<Section, SnapshotError>
+    where
+        K: Serialize,
+        V: Serialize,
+    {
+        encode_section(shard.tuples())
+    }
+
+    fn diff(old: &M, new: &M) -> MultiMapDiff<K, V> {
+        old.diff(new)
+    }
+
+    fn merge(parts: Vec<MultiMapDiff<K, V>>) -> MultiMapDiff<K, V> {
+        let mut out = MultiMapDiff::new();
+        for part in parts {
+            out.added.extend(part.added);
+            out.removed.extend(part.removed);
         }
+        out
     }
 }
 
 impl<K, V, M> ShardedMultiMap<K, V, M>
 where
-    K: Hash,
-    M: MultiMapOps<K, V>,
+    K: Hash + Clone,
+    V: Clone,
+    M: MultiMapMutOps<K, V> + MultiMapAlgebraOps<K, V>,
 {
-    /// Creates an empty sharded multi-map with one shard per available CPU
-    /// (rounded up to a power of two).
-    pub fn new() -> Self {
-        Self::with_shards(default_shard_count())
-    }
-
-    /// Creates an empty sharded multi-map over `shards` shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `shards` is a power of two in
-    /// `1..=`[`crate::MAX_SHARDS`].
-    pub fn with_shards(shards: usize) -> Self {
-        ShardedMultiMap {
-            core: ShardSet::filled(Partition::new(shards), M::empty),
-            _tuple: PhantomData,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.core.count()
-    }
-
-    /// The shard a key routes to (top bits of its 32-bit trie hash).
-    pub fn shard_of(&self, key: &K) -> usize {
-        self.core.shard_of(key)
-    }
-
-    /// Pins the current epoch: every shard at one global publication point
-    /// (one `Arc` clone, no per-shard loads). All queries on the snapshot
-    /// are lock-free, and any two reads answered from the same snapshot
-    /// are mutually consistent — including across shards.
-    pub fn snapshot(&self) -> MultiMapSnapshot<K, V, M> {
-        MultiMapSnapshot {
-            pin: self.core.pin(),
-            _tuple: PhantomData,
-        }
-    }
-
-    /// Blocks until the published epoch advances past `epoch`, then returns
-    /// the new pinned snapshot (the long-poll/subscription primitive).
-    pub fn snapshot_after(&self, epoch: u64) -> MultiMapSnapshot<K, V, M> {
-        MultiMapSnapshot {
-            pin: self.core.pin_after(epoch),
-            _tuple: PhantomData,
-        }
-    }
-
-    /// The global publication epoch (bumps once per commit, however many
-    /// shards the commit touched); cheap staleness check for cached
-    /// readers.
-    pub fn current_epoch(&self) -> u64 {
-        self.core.epoch_now()
-    }
-
-    /// The global publication epoch (alias of
-    /// [`ShardedMultiMap::current_epoch`], kept for PR 4 callers).
+    /// The global publication epoch (alias of [`Sharded::current_epoch`]).
     pub fn version(&self) -> u64 {
         self.current_epoch()
     }
 
     /// Total number of tuples (over one pinned epoch).
     pub fn tuple_count(&self) -> usize {
-        self.core.sum_pinned(M::tuple_count)
+        self.snapshot().tuple_count()
     }
 
     /// Number of distinct keys (keys never span shards, so the sum is
     /// exact).
     pub fn key_count(&self) -> usize {
-        self.core.sum_pinned(M::key_count)
-    }
-
-    /// True if no shard holds a tuple.
-    pub fn is_empty(&self) -> bool {
-        self.tuple_count() == 0
+        self.snapshot().key_count()
     }
 
     /// True if `key` maps to at least one value.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.core.load_for(key).contains_key(key)
+        self.snapshot().contains_key(key)
     }
 
     /// True if the exact tuple `(key, value)` is present.
     pub fn contains_tuple(&self, key: &K, value: &V) -> bool {
-        self.core.load_for(key).contains_tuple(key, value)
+        self.snapshot().contains_tuple(key, value)
     }
 
     /// Number of values associated with `key` (0 if absent).
     pub fn value_count(&self, key: &K) -> usize {
-        self.core.load_for(key).value_count(key)
+        self.snapshot().value_count(key)
     }
 
-    /// Captures the current epoch for [`ShardedMultiMap::changes_since`]
-    /// (identical to [`ShardedMultiMap::snapshot`]'s pin; kept as its own
-    /// type for the delta API).
-    pub fn epoch(&self) -> MultiMapEpoch<K, V, M> {
-        MultiMapEpoch {
-            core: self.core.pin(),
-            _tuple: PhantomData,
-        }
+    /// Inserts one tuple. Returns true if the relation grew.
+    ///
+    /// One-tuple batches pay a full shard publication each; prefer
+    /// [`Sharded::apply`] for anything that arrives in groups.
+    pub fn insert(&self, key: K, value: V) -> bool {
+        self.update_at(self.shard_of(&key), |m| m.insert_mut(key, value))
     }
-}
 
-impl<K, V, M> ShardedMultiMap<K, V, M>
-where
-    K: Hash + Clone + Send,
-    V: Clone + Send,
-    M: MultiMapAlgebraOps<K, V> + Send + Sync,
-{
-    /// The tuple-level delta since `epoch` (`epoch` old, current state
-    /// new). Shards whose publication counter is unchanged are skipped
-    /// outright; each changed shard is diffed structurally on its own
-    /// scoped worker thread, so the cost tracks the number of edited
-    /// tuples, not the relation size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch` was captured from a multi-map with a different
-    /// partition.
-    pub fn changes_since(&self, epoch: &MultiMapEpoch<K, V, M>) -> MultiMapDiff<K, V> {
-        let parts = self
-            .core
-            .diff_since_parallel(&epoch.core, |old, current| old.diff(current));
-        let mut out = MultiMapDiff::new();
-        for d in parts {
-            out.added.extend(d.added);
-            out.removed.extend(d.removed);
-        }
-        out
+    /// Removes one tuple. Returns true if it was present.
+    pub fn remove_tuple(&self, key: &K, value: &V) -> bool {
+        self.update_at(self.shard_of(key), |m| m.remove_tuple_mut(key, value))
+    }
+
+    /// Removes every tuple for `key`. Returns how many were removed.
+    pub fn remove_key(&self, key: &K) -> usize {
+        self.update_at(self.shard_of(key), |m| m.remove_key_mut(key))
     }
 
     /// Pairwise shard union with `other` (tuple granularity), one scoped
@@ -206,224 +160,30 @@ where
     /// # Panics
     ///
     /// Panics if the two multi-maps have different shard counts.
-    pub fn union_with(&self, other: &Self) -> Self {
-        Self::from_core(self.core.combine_parallel(&other.core, |a, b| a.union(b)))
-    }
-}
-
-/// A captured epoch of a [`ShardedMultiMap`]: per-shard publication
-/// counters and frozen snapshots. Created by [`ShardedMultiMap::epoch`],
-/// consumed by [`ShardedMultiMap::changes_since`].
-pub struct MultiMapEpoch<K, V, M = AxiomMultiMap<K, V>> {
-    core: Arc<EpochCore<M>>,
-    _tuple: PhantomData<fn() -> (K, V)>,
-}
-
-impl<K, V, M> Clone for MultiMapEpoch<K, V, M> {
-    fn clone(&self) -> Self {
-        MultiMapEpoch {
-            core: Arc::clone(&self.core),
-            _tuple: PhantomData,
-        }
-    }
-}
-
-impl<K, V, M> std::fmt::Debug for MultiMapEpoch<K, V, M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiMapEpoch")
-            .field("epoch", &self.core.epoch)
-            .finish()
-    }
-}
-
-impl<K, V, M> ShardedMultiMap<K, V, M>
-where
-    K: Hash,
-    M: MultiMapOps<K, V> + MultiMapMutOps<K, V> + Clone,
-{
-    /// Inserts one tuple. Returns true if the relation grew.
-    ///
-    /// One-tuple batches pay a full shard publication each; prefer
-    /// [`ShardedMultiMap::apply`] for anything that arrives in groups.
-    pub fn insert(&self, key: K, value: V) -> bool {
-        let shard = self.core.shard_of(&key);
-        self.core.update_at(shard, |m| {
-            let mut next = m.clone();
-            let grew = next.insert_mut(key, value);
-            (next, grew)
-        })
-    }
-
-    /// Removes one tuple. Returns true if it was present.
-    pub fn remove_tuple(&self, key: &K, value: &V) -> bool {
-        self.core
-            .update_for(key, |m| m.remove_tuple_mut(key, value))
-    }
-
-    /// Removes every tuple for `key`. Returns how many were removed.
-    pub fn remove_key(&self, key: &K) -> usize {
-        self.core.update_for(key, |m| m.remove_key_mut(key))
-    }
-
-    /// Applies a batch of edits: groups them by shard (preserving input
-    /// order within each shard), stages every group on a shard-local
-    /// successor through the `_mut` protocol, and publishes all touched
-    /// shards as **one** epoch — a pinned reader observes either none or
-    /// all of the batch, even across shards. Returns the total tuple-count
-    /// delta.
-    ///
-    /// Concurrent `apply` calls to disjoint shards stage fully in
-    /// parallel; calls touching the same shard serialize on that shard's
-    /// write lock, and only the pointer swap itself serializes globally.
-    pub fn apply<I: IntoIterator<Item = MultiMapEdit<K, V>>>(&self, batch: I) -> isize {
-        self.core
-            .apply_grouped(batch, |e| self.core.shard_of(e.key()), M::apply_mut)
-    }
-
-    /// Optimistically applies `batch` against the epoch pinned by `base`:
-    /// the commit succeeds only if every shard the batch writes — plus
-    /// every shard in `read_shards` (the shards a transaction read from) —
-    /// is still at the version `base` pinned. On conflict nothing is
-    /// staged; re-pin and retry.
-    pub fn apply_validated<I: IntoIterator<Item = MultiMapEdit<K, V>>>(
-        &self,
-        base: &MultiMapSnapshot<K, V, M>,
-        read_shards: &[usize],
-        batch: I,
-    ) -> Result<isize, EpochConflict> {
-        self.core.apply_grouped_validated(
-            batch,
-            |e| self.core.shard_of(e.key()),
-            M::apply_mut,
-            Some((&base.pin, read_shards)),
-        )
-    }
-}
-
-impl<K, V, M> ShardedMultiMap<K, V, M>
-where
-    K: Hash + Send,
-    V: Send,
-    M: MultiMapOps<K, V> + TransientOps<(K, V)> + Send,
-{
-    /// Bulk-builds a sharded multi-map: partitions the tuples by shard,
-    /// then builds every shard **in parallel** (one scoped worker thread
-    /// per non-empty shard) through the transient builder protocol.
-    pub fn build_parallel(shards: usize, tuples: impl IntoIterator<Item = (K, V)>) -> Self {
-        let partition = Partition::new(shards);
-        let parts = crate::partition_tuples(shards, tuples);
-        ShardedMultiMap {
-            core: ShardSet::build_parallel(partition, parts, M::built_from),
-            _tuple: PhantomData,
-        }
-    }
-
-    /// Bulk-extends in place: partitions the batch, then every touched
-    /// shard clones its snapshot into a transient, bulk-inserts its slice
-    /// on a scoped worker thread, and publishes. Returns how many insertions
-    /// reported growth.
-    pub fn extend_parallel(&self, tuples: impl IntoIterator<Item = (K, V)>) -> usize
+    pub fn union_with(&self, other: &Self) -> Self
     where
-        M: Clone + Sync,
+        M: Send + Sync,
     {
-        let parts = crate::partition_tuples(self.core.count(), tuples);
-        self.core.extend_parallel(parts, |m, part| {
-            let mut t = m.clone().transient();
-            let grew = t.insert_all_mut(part);
-            (t.build(), grew)
-        })
-    }
-}
-
-impl<K, V, M> Default for ShardedMultiMap<K, V, M>
-where
-    K: Hash,
-    M: MultiMapOps<K, V>,
-{
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K, V, M> std::fmt::Debug for ShardedMultiMap<K, V, M>
-where
-    K: Hash,
-    M: MultiMapOps<K, V>,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedMultiMap")
-            .field("shards", &self.core.count())
-            .field("tuples", &self.tuple_count())
-            .finish()
-    }
-}
-
-/// An immutable pinned epoch of a [`ShardedMultiMap`]: one frozen
-/// persistent trie per shard, all captured at a single global publication
-/// point. Every query is lock-free; the snapshot stays valid (and
-/// unchanged) no matter what writers publish afterwards.
-pub struct MultiMapSnapshot<K, V, M = AxiomMultiMap<K, V>> {
-    pin: Arc<EpochCore<M>>,
-    _tuple: PhantomData<fn() -> (K, V)>,
-}
-
-impl<K, V, M> Clone for MultiMapSnapshot<K, V, M> {
-    fn clone(&self) -> Self {
-        MultiMapSnapshot {
-            pin: Arc::clone(&self.pin),
-            _tuple: PhantomData,
-        }
+        self.combine(other, M::union)
     }
 }
 
 impl<K, V, M> MultiMapSnapshot<K, V, M>
 where
-    K: Hash,
-    M: MultiMapOps<K, V>,
+    K: Hash + Clone,
+    V: Clone,
+    M: MultiMapMutOps<K, V> + MultiMapAlgebraOps<K, V>,
 {
-    fn shard_for(&self, key: &K) -> &M {
-        &self.pin.shards[self.pin.partition.shard_of(key)].1
-    }
-
-    /// The global epoch this snapshot was pinned at.
-    pub fn epoch(&self) -> u64 {
-        self.pin.epoch
-    }
-
-    /// The publication counter shard `index` was pinned at (what a
-    /// validated commit re-checks).
-    pub fn shard_version(&self, index: usize) -> u64 {
-        self.pin.shards[index].0
-    }
-
-    /// The shard a key routes to.
-    pub fn shard_of(&self, key: &K) -> usize {
-        self.pin.partition.shard_of(key)
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.pin.shards.len()
-    }
-
-    /// Borrow of one shard's frozen trie (e.g. to run per-shard analytics).
-    pub fn shard(&self, index: usize) -> &M {
-        &self.pin.shards[index].1
-    }
-
     /// Total number of tuples.
     pub fn tuple_count(&self) -> usize {
-        self.pin.shards.iter().map(|(_, m)| m.tuple_count()).sum()
+        self.count()
     }
 
     /// Number of distinct keys.
     pub fn key_count(&self) -> usize {
-        self.pin.shards.iter().map(|(_, m)| m.key_count()).sum()
-    }
-
-    /// True if the snapshot holds no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.tuple_count() == 0
+        (0..self.shard_count())
+            .map(|i| self.shard(i).key_count())
+            .sum()
     }
 
     /// True if `key` maps to at least one value.
@@ -447,44 +207,13 @@ where
     }
 
     /// Iterates all `(key, value)` tuples, shard by shard.
-    pub fn tuples(&self) -> SnapshotTuples<'_, K, V, M> {
-        SnapshotTuples {
-            rest: self.pin.shards.iter(),
-            current: None,
-            _tuple: PhantomData,
-        }
+    pub fn tuples(&self) -> SnapshotIter<'_, MultiMapEdit<K, V>, M> {
+        self.items()
     }
 }
 
-/// Flattened tuple iterator over every shard of a [`MultiMapSnapshot`].
-pub struct SnapshotTuples<'a, K, V, M>
-where
-    M: MultiMapOps<K, V> + 'a,
-    K: 'a,
-    V: 'a,
-{
-    rest: std::slice::Iter<'a, (u64, Arc<M>)>,
-    current: Option<M::Tuples<'a>>,
-    _tuple: PhantomData<fn() -> (K, V)>,
-}
-
-impl<'a, K, V, M> Iterator for SnapshotTuples<'a, K, V, M>
-where
-    M: MultiMapOps<K, V>,
-{
-    type Item = (&'a K, &'a V);
-
-    fn next(&mut self) -> Option<(&'a K, &'a V)> {
-        loop {
-            if let Some(tuples) = &mut self.current {
-                if let Some(t) = tuples.next() {
-                    return Some(t);
-                }
-            }
-            self.current = Some(self.rest.next()?.1.tuples());
-        }
-    }
-}
+#[cfg(test)]
+use trie_common::ops::TransientOps;
 
 #[cfg(test)]
 mod tests {

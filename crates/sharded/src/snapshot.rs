@@ -1,5 +1,6 @@
-//! Durable snapshots for the sharded wrappers: `save_snapshot` /
-//! `load_snapshot` over the [`trie_common::snapshot`] format.
+//! Durable snapshots for the sharded store: `save_snapshot` /
+//! `load_snapshot` over the [`trie_common::snapshot`] format, written once
+//! for every kind.
 //!
 //! A sharded save serializes each shard's published `Arc` snapshot as its
 //! own section of the frame — every shard encodes **in parallel** on a
@@ -17,135 +18,26 @@
 //! topology-bound), plain collections can read sharded snapshots and vice
 //! versa.
 
-use std::hash::Hash;
+use std::path::Path;
 use std::thread;
 
 use serde::{Deserialize, Serialize};
 use trie_common::faults::{fire as fault_point, site};
-use trie_common::ops::{MapOps, MultiMapOps, SetOps, TransientOps};
+use trie_common::ops::TransientOps;
 use trie_common::snapshot::{
-    encode_section, write_frame, Frame, FrameSection, Kind, Section, SnapshotError, SnapshotRead,
+    encode_section, save_atomic, write_frame, Frame, Kind, Section, SnapshotError, SnapshotRead,
     SnapshotWrite,
 };
 
 use crate::partition::{Partition, MAX_SHARDS};
-use crate::shards::ShardSet;
-use crate::{MapSnapshot, MultiMapSnapshot, SetSnapshot, ShardedMap, ShardedMultiMap, ShardedSet};
+use crate::shards::{ShardKind, Sharded, Snapshot};
 
-// ------------------------------------------------------ shared machinery
-
-/// Encodes one section per shard, in parallel (one scoped worker per
-/// non-trivial shard; trivially-empty shards encode inline), and appends
-/// the framed result to `out` (no intermediate whole-snapshot buffer).
-fn save_parallel<C: Sync>(
-    kind: Kind,
-    shards: &[&C],
-    is_empty: impl Fn(&C) -> bool,
-    encode: impl Fn(&C) -> Result<Section, SnapshotError> + Sync,
-    out: &mut Vec<u8>,
-) -> Result<(), SnapshotError> {
-    let encode = &encode;
-    let sections: Vec<Result<Section, SnapshotError>> = thread::scope(|scope| {
-        let workers: Vec<_> = shards
-            .iter()
-            .map(|&shard| {
-                if is_empty(shard) {
-                    None
-                } else {
-                    Some(scope.spawn(move || {
-                        fault_point(site::SNAPSHOT_ENCODE);
-                        encode(shard)
-                    }))
-                }
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|worker| match worker {
-                // A panicked encoder fails this save with a typed error
-                // instead of aborting the process; the remaining workers
-                // still join (scoped threads), nothing is left running.
-                Some(handle) => handle.join().unwrap_or(Err(SnapshotError::WorkerPanicked)),
-                None => encode_section(std::iter::empty::<()>()),
-            })
-            .collect()
-    });
-    let sections = sections.into_iter().collect::<Result<Vec<_>, _>>()?;
-    write_frame(kind, &sections, out)
-}
-
-/// Decodes every stored section in parallel, routing each element into one
-/// of `new_count` buckets; returns the merged per-new-shard parts.
-fn decode_and_route<Item>(
-    sections: &[FrameSection<'_>],
-    new_count: usize,
-    route: impl Fn(&Item) -> usize + Sync,
-) -> Result<Vec<Vec<Item>>, SnapshotError>
+impl<E, C> Snapshot<E, C>
 where
-    Item: Send + for<'de> Deserialize<'de>,
-{
-    let route = &route;
-    let routed: Vec<Result<Vec<Vec<Item>>, SnapshotError>> = thread::scope(|scope| {
-        let workers: Vec<_> = sections
-            .iter()
-            .map(|&section| {
-                if section.count == 0 && section.byte_len() == 0 {
-                    None
-                } else {
-                    Some(scope.spawn(move || {
-                        fault_point(site::SNAPSHOT_DECODE);
-                        let mut buckets: Vec<Vec<Item>> =
-                            (0..new_count).map(|_| Vec::new()).collect();
-                        section.decode_each(|item| buckets[route(&item)].push(item))?;
-                        Ok(buckets)
-                    }))
-                }
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|worker| match worker {
-                // Same contract as the encode side: a panicked decoder
-                // fails the restore with a typed error, never the process.
-                Some(handle) => handle.join().unwrap_or(Err(SnapshotError::WorkerPanicked)),
-                None => Ok((0..new_count).map(|_| Vec::new()).collect()),
-            })
-            .collect()
-    });
-    let mut parts: Vec<Vec<Item>> = (0..new_count).map(|_| Vec::new()).collect();
-    for buckets in routed {
-        for (part, bucket) in parts.iter_mut().zip(buckets?) {
-            part.extend(bucket);
-        }
-    }
-    Ok(parts)
-}
-
-/// Validates a *stored* shard count as a partition without panicking
-/// (corrupt or foreign snapshots must error, not abort).
-fn stored_partition(count: usize) -> Result<Partition, SnapshotError> {
-    if count.is_power_of_two() && (1..=MAX_SHARDS).contains(&count) {
-        Ok(Partition::new(count))
-    } else {
-        Err(SnapshotError::Codec(format!(
-            "stored shard count {count} is not a power of two in 1..={MAX_SHARDS}"
-        )))
-    }
-}
-
-fn parse_expecting<'a>(bytes: &'a [u8], kind: Kind) -> Result<Frame<'a>, SnapshotError> {
-    let frame = Frame::parse(bytes)?;
-    frame.expect_kind(kind)?;
-    Ok(frame)
-}
-
-// ----------------------------------------------------------- multi-map
-
-impl<K, V, M> MultiMapSnapshot<K, V, M>
-where
-    K: Hash + Serialize,
-    V: Serialize,
-    M: MultiMapOps<K, V> + Sync,
+    E: ShardKind<C>,
+    E::Key: Serialize,
+    E::Value: Serialize,
+    C: Sync,
 {
     /// Serializes this frozen snapshot, one frame section per shard,
     /// encoding shards in parallel.
@@ -155,30 +47,48 @@ where
         Ok(out)
     }
 
-    /// Appends the snapshot to `out` (the allocation-free-at-the-seam
-    /// variant backing [`SnapshotWrite`]).
+    /// Appends the snapshot to `out` (no intermediate whole-snapshot
+    /// buffer). Each non-empty shard encodes on its own scoped worker;
+    /// empty shards encode inline.
     fn write_snapshot_into(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-        let shards: Vec<&M> = (0..self.shard_count()).map(|i| self.shard(i)).collect();
-        save_parallel(
-            Kind::MultiMap,
-            &shards,
-            |m| m.is_empty(),
-            |m| encode_section(m.tuples()),
-            out,
-        )
+        let sections: Vec<Result<Section, SnapshotError>> = thread::scope(|scope| {
+            let workers: Vec<_> = (0..self.shard_count())
+                .map(|i| self.shard(i))
+                .map(|shard| {
+                    (E::count(shard) > 0).then(|| {
+                        scope.spawn(move || {
+                            fault_point(site::SNAPSHOT_ENCODE);
+                            E::encode(shard)
+                        })
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|worker| match worker {
+                    // A panicked encoder fails this save with a typed error
+                    // instead of aborting the process; the remaining workers
+                    // still join (scoped threads), nothing is left running.
+                    Some(handle) => handle.join().unwrap_or(Err(SnapshotError::WorkerPanicked)),
+                    None => encode_section(std::iter::empty::<()>()),
+                })
+                .collect()
+        });
+        let sections = sections.into_iter().collect::<Result<Vec<_>, _>>()?;
+        write_frame(E::KIND, &sections, out)
     }
 }
 
-impl<K, V, M> ShardedMultiMap<K, V, M>
+impl<E, C> Sharded<E, C>
 where
-    K: Hash + Serialize,
-    V: Serialize,
-    M: MultiMapOps<K, V> + Sync,
+    E: ShardKind<C>,
+    E::Key: Serialize,
+    E::Value: Serialize,
+    C: Clone + Sync,
 {
-    /// Takes a consistent-per-shard snapshot and serializes it (see
-    /// [`MultiMapSnapshot::save_snapshot`]). Concurrent writers are never
-    /// blocked: the save works on the frozen `Arc` snapshots acquired up
-    /// front.
+    /// Takes a consistent snapshot and serializes it (see
+    /// [`Snapshot::save_snapshot`]). Concurrent writers are never blocked:
+    /// the save works on the frozen `Arc` snapshots acquired up front.
     pub fn save_snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
         self.snapshot().save_snapshot()
     }
@@ -186,16 +96,16 @@ where
     /// Saves a snapshot to `path` atomically (write-temp + fsync +
     /// rename): a crash mid-checkpoint leaves the previous file intact,
     /// never a torn one.
-    pub fn save_snapshot_to(&self, path: impl AsRef<std::path::Path>) -> Result<(), SnapshotError> {
-        trie_common::snapshot::save_atomic(path.as_ref(), &self.save_snapshot()?)
+    pub fn save_snapshot_to(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
+        save_atomic(path.as_ref(), &self.save_snapshot()?)
     }
 }
 
-impl<K, V, M> ShardedMultiMap<K, V, M>
+impl<E, C> Sharded<E, C>
 where
-    K: Hash + Send + for<'de> Deserialize<'de>,
-    V: Send + for<'de> Deserialize<'de>,
-    M: MultiMapOps<K, V> + TransientOps<(K, V)> + Send,
+    E: ShardKind<C>,
+    E::Item: Send + for<'de> Deserialize<'de>,
+    C: TransientOps<E::Item> + Send,
 {
     /// Restores a snapshot at `shards` shards — any power of two in
     /// `1..=`[`crate::MAX_SHARDS`], independent of the count it was saved
@@ -206,292 +116,111 @@ where
     /// # Panics
     ///
     /// Panics if `shards` is not a valid partition size (same contract as
-    /// [`ShardedMultiMap::with_shards`]); corrupt `bytes` never panic.
+    /// [`Sharded::with_shards`]); corrupt `bytes` never panic.
     pub fn load_snapshot(bytes: &[u8], shards: usize) -> Result<Self, SnapshotError> {
-        let frame = parse_expecting(bytes, Kind::MultiMap)?;
-        let partition = Partition::new(shards);
-        let parts = decode_and_route(frame.sections(), partition.count(), |(k, _): &(K, V)| {
-            partition.shard_of(k)
-        })?;
-        Ok(Self::from_core(ShardSet::build_parallel(
-            partition,
-            parts,
-            M::built_from,
-        )))
+        let frame = Self::parse(bytes)?;
+        Self::load_frame(&frame, Partition::new(shards))
     }
 
-    /// Reads a snapshot file (as written by
-    /// [`ShardedMultiMap::save_snapshot_to`]) and restores it at `shards`
-    /// shards.
+    /// Reads a snapshot file (as written by [`Sharded::save_snapshot_to`])
+    /// and restores it at `shards` shards.
     pub fn load_snapshot_from(
-        path: impl AsRef<std::path::Path>,
+        path: impl AsRef<Path>,
         shards: usize,
     ) -> Result<Self, SnapshotError> {
         let bytes = std::fs::read(path.as_ref()).map_err(|e| SnapshotError::Io(e.to_string()))?;
         Self::load_snapshot(&bytes, shards)
     }
+
+    fn parse(bytes: &[u8]) -> Result<Frame<'_>, SnapshotError> {
+        let frame = Frame::parse(bytes)?;
+        frame.expect_kind(E::KIND)?;
+        Ok(frame)
+    }
+
+    /// Decodes every stored section in parallel, routing each item into
+    /// its shard under `partition`, then bulk-builds the shards.
+    fn load_frame(frame: &Frame<'_>, partition: Partition) -> Result<Self, SnapshotError> {
+        let count = partition.count();
+        let buckets = || {
+            (0..count)
+                .map(|_| Vec::new())
+                .collect::<Vec<Vec<E::Item>>>()
+        };
+        let routed: Vec<Result<Vec<Vec<E::Item>>, SnapshotError>> = thread::scope(|scope| {
+            let workers: Vec<_> = frame
+                .sections()
+                .iter()
+                .map(|&section| {
+                    (section.count > 0 || section.byte_len() > 0).then(|| {
+                        scope.spawn(move || {
+                            fault_point(site::SNAPSHOT_DECODE);
+                            let mut parts = buckets();
+                            section.decode_each(|item: E::Item| {
+                                parts[partition.shard_of(E::item_key(&item))].push(item)
+                            })?;
+                            Ok(parts)
+                        })
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|worker| match worker {
+                    // Same contract as the encode side: a panicked decoder
+                    // fails the restore with a typed error, never the process.
+                    Some(handle) => handle.join().unwrap_or(Err(SnapshotError::WorkerPanicked)),
+                    None => Ok(buckets()),
+                })
+                .collect()
+        });
+        let mut parts = buckets();
+        for section in routed {
+            for (part, bucket) in parts.iter_mut().zip(section?) {
+                part.extend(bucket);
+            }
+        }
+        Ok(Self::build_parts(partition, parts))
+    }
 }
 
-impl<K, V, M> SnapshotWrite for ShardedMultiMap<K, V, M>
+impl<E, C> SnapshotWrite for Sharded<E, C>
 where
-    K: Hash + Serialize,
-    V: Serialize,
-    M: MultiMapOps<K, V> + Sync,
+    E: ShardKind<C>,
+    E::Key: Serialize,
+    E::Value: Serialize,
+    C: Clone + Sync,
 {
-    const KIND: Kind = Kind::MultiMap;
+    const KIND: Kind = E::KIND;
 
     fn write_snapshot(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
         self.snapshot().write_snapshot_into(out)
     }
 }
 
-impl<K, V, M> SnapshotRead for ShardedMultiMap<K, V, M>
+impl<E, C> SnapshotRead for Sharded<E, C>
 where
-    K: Hash + Send + for<'de> Deserialize<'de>,
-    V: Send + for<'de> Deserialize<'de>,
-    M: MultiMapOps<K, V> + TransientOps<(K, V)> + Send,
+    E: ShardKind<C>,
+    E::Item: Send + for<'de> Deserialize<'de>,
+    C: TransientOps<E::Item> + Send,
 {
     /// Restores at the snapshot's stored shard count (errors — never
     /// panics — if that count is not a valid partition; use
-    /// [`ShardedMultiMap::load_snapshot`] to reshard).
+    /// [`Sharded::load_snapshot`] to reshard).
     fn read_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let frame = parse_expecting(bytes, Kind::MultiMap)?;
-        let partition = stored_partition(frame.sections().len())?;
-        let parts = decode_and_route(frame.sections(), partition.count(), |(k, _): &(K, V)| {
-            partition.shard_of(k)
-        })?;
-        Ok(Self::from_core(ShardSet::build_parallel(
-            partition,
-            parts,
-            M::built_from,
-        )))
+        let frame = Self::parse(bytes)?;
+        let count = frame.sections().len();
+        if !(count.is_power_of_two() && (1..=MAX_SHARDS).contains(&count)) {
+            return Err(SnapshotError::Codec(format!(
+                "stored shard count {count} is not a power of two in 1..={MAX_SHARDS}"
+            )));
+        }
+        Self::load_frame(&frame, Partition::new(count))
     }
 }
 
-// ----------------------------------------------------------------- map
-
-impl<K, V, M> MapSnapshot<K, V, M>
-where
-    K: Hash + Serialize,
-    V: Serialize,
-    M: MapOps<K, V> + Sync,
-{
-    /// Serializes this frozen snapshot, one frame section per shard,
-    /// encoding shards in parallel.
-    pub fn save_snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        let mut out = Vec::new();
-        self.write_snapshot_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// Appends the snapshot to `out` (the allocation-free-at-the-seam
-    /// variant backing [`SnapshotWrite`]).
-    fn write_snapshot_into(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-        let shards: Vec<&M> = (0..self.shard_count()).map(|i| self.shard(i)).collect();
-        save_parallel(
-            Kind::Map,
-            &shards,
-            |m| m.is_empty(),
-            |m| encode_section(m.entries()),
-            out,
-        )
-    }
-}
-
-impl<K, V, M> ShardedMap<K, V, M>
-where
-    K: Hash + Serialize,
-    V: Serialize,
-    M: MapOps<K, V> + Sync,
-{
-    /// Takes a consistent-per-shard snapshot and serializes it (see
-    /// [`MapSnapshot::save_snapshot`]).
-    pub fn save_snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        self.snapshot().save_snapshot()
-    }
-
-    /// Saves a snapshot to `path` atomically (see
-    /// [`ShardedMultiMap::save_snapshot_to`]).
-    pub fn save_snapshot_to(&self, path: impl AsRef<std::path::Path>) -> Result<(), SnapshotError> {
-        trie_common::snapshot::save_atomic(path.as_ref(), &self.save_snapshot()?)
-    }
-}
-
-impl<K, V, M> ShardedMap<K, V, M>
-where
-    K: Hash + Send + for<'de> Deserialize<'de>,
-    V: Send + for<'de> Deserialize<'de>,
-    M: MapOps<K, V> + TransientOps<(K, V)> + Send,
-{
-    /// Restores a snapshot at `shards` shards (see
-    /// [`ShardedMultiMap::load_snapshot`] for the contract).
-    pub fn load_snapshot(bytes: &[u8], shards: usize) -> Result<Self, SnapshotError> {
-        let frame = parse_expecting(bytes, Kind::Map)?;
-        Self::load_frame(&frame, shards)
-    }
-
-    /// Reads a snapshot file and restores it at `shards` shards.
-    pub fn load_snapshot_from(
-        path: impl AsRef<std::path::Path>,
-        shards: usize,
-    ) -> Result<Self, SnapshotError> {
-        let bytes = std::fs::read(path.as_ref()).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        Self::load_snapshot(&bytes, shards)
-    }
-
-    fn load_frame(frame: &Frame<'_>, shards: usize) -> Result<Self, SnapshotError> {
-        let partition = Partition::new(shards);
-        let parts = decode_and_route(frame.sections(), partition.count(), |(k, _): &(K, V)| {
-            partition.shard_of(k)
-        })?;
-        Ok(Self::from_core(ShardSet::build_parallel(
-            partition,
-            parts,
-            M::built_from,
-        )))
-    }
-}
-
-impl<K, V, M> SnapshotWrite for ShardedMap<K, V, M>
-where
-    K: Hash + Serialize,
-    V: Serialize,
-    M: MapOps<K, V> + Sync,
-{
-    const KIND: Kind = Kind::Map;
-
-    fn write_snapshot(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-        self.snapshot().write_snapshot_into(out)
-    }
-}
-
-impl<K, V, M> SnapshotRead for ShardedMap<K, V, M>
-where
-    K: Hash + Send + for<'de> Deserialize<'de>,
-    V: Send + for<'de> Deserialize<'de>,
-    M: MapOps<K, V> + TransientOps<(K, V)> + Send,
-{
-    fn read_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let frame = parse_expecting(bytes, Kind::Map)?;
-        let partition = stored_partition(frame.sections().len())?;
-        let parts = decode_and_route(frame.sections(), partition.count(), |(k, _): &(K, V)| {
-            partition.shard_of(k)
-        })?;
-        Ok(Self::from_core(ShardSet::build_parallel(
-            partition,
-            parts,
-            M::built_from,
-        )))
-    }
-}
-
-// ----------------------------------------------------------------- set
-
-impl<T, S> SetSnapshot<T, S>
-where
-    T: Hash + Serialize,
-    S: SetOps<T> + Sync,
-{
-    /// Serializes this frozen snapshot, one frame section per shard,
-    /// encoding shards in parallel.
-    pub fn save_snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        let mut out = Vec::new();
-        self.write_snapshot_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// Appends the snapshot to `out` (the allocation-free-at-the-seam
-    /// variant backing [`SnapshotWrite`]).
-    fn write_snapshot_into(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-        let shards: Vec<&S> = (0..self.shard_count()).map(|i| self.shard(i)).collect();
-        save_parallel(
-            Kind::Set,
-            &shards,
-            |s| s.is_empty(),
-            |s| encode_section(s.iter()),
-            out,
-        )
-    }
-}
-
-impl<T, S> ShardedSet<T, S>
-where
-    T: Hash + Serialize,
-    S: SetOps<T> + Sync,
-{
-    /// Takes a consistent-per-shard snapshot and serializes it (see
-    /// [`SetSnapshot::save_snapshot`]).
-    pub fn save_snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        self.snapshot().save_snapshot()
-    }
-
-    /// Saves a snapshot to `path` atomically (see
-    /// [`ShardedMultiMap::save_snapshot_to`]).
-    pub fn save_snapshot_to(&self, path: impl AsRef<std::path::Path>) -> Result<(), SnapshotError> {
-        trie_common::snapshot::save_atomic(path.as_ref(), &self.save_snapshot()?)
-    }
-}
-
-impl<T, S> ShardedSet<T, S>
-where
-    T: Hash + Send + for<'de> Deserialize<'de>,
-    S: SetOps<T> + TransientOps<T> + Send,
-{
-    /// Restores a snapshot at `shards` shards (see
-    /// [`ShardedMultiMap::load_snapshot`] for the contract).
-    pub fn load_snapshot(bytes: &[u8], shards: usize) -> Result<Self, SnapshotError> {
-        let frame = parse_expecting(bytes, Kind::Set)?;
-        let partition = Partition::new(shards);
-        let parts = decode_and_route(frame.sections(), partition.count(), |t: &T| {
-            partition.shard_of(t)
-        })?;
-        Ok(Self::from_core(ShardSet::build_parallel(
-            partition,
-            parts,
-            S::built_from,
-        )))
-    }
-
-    /// Reads a snapshot file and restores it at `shards` shards.
-    pub fn load_snapshot_from(
-        path: impl AsRef<std::path::Path>,
-        shards: usize,
-    ) -> Result<Self, SnapshotError> {
-        let bytes = std::fs::read(path.as_ref()).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        Self::load_snapshot(&bytes, shards)
-    }
-}
-
-impl<T, S> SnapshotWrite for ShardedSet<T, S>
-where
-    T: Hash + Serialize,
-    S: SetOps<T> + Sync,
-{
-    const KIND: Kind = Kind::Set;
-
-    fn write_snapshot(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-        self.snapshot().write_snapshot_into(out)
-    }
-}
-
-impl<T, S> SnapshotRead for ShardedSet<T, S>
-where
-    T: Hash + Send + for<'de> Deserialize<'de>,
-    S: SetOps<T> + TransientOps<T> + Send,
-{
-    fn read_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let frame = parse_expecting(bytes, Kind::Set)?;
-        let partition = stored_partition(frame.sections().len())?;
-        let parts = decode_and_route(frame.sections(), partition.count(), |t: &T| {
-            partition.shard_of(t)
-        })?;
-        Ok(Self::from_core(ShardSet::build_parallel(
-            partition,
-            parts,
-            S::built_from,
-        )))
-    }
-}
+#[cfg(test)]
+use crate::{ShardedMap, ShardedMultiMap, ShardedSet};
 
 #[cfg(test)]
 mod tests {
@@ -570,5 +299,49 @@ mod tests {
         // But an explicit reshard target accepts any frame.
         let back: ShardedMultiMap<u32, u32> = ShardedMultiMap::load_snapshot(&bytes, 2).unwrap();
         assert_eq!(back.tuple_count(), 3);
+    }
+
+    #[test]
+    fn file_save_restores_at_another_shard_count_for_every_kind() {
+        let dir = std::env::temp_dir().join(format!("sharded_files_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.axsn");
+
+        let mm: ShardedMultiMap<u32, u32> =
+            ShardedMultiMap::build_parallel(8, (0..600u32).map(|i| (i / 3, i)));
+        mm.save_snapshot_to(&path).unwrap();
+        let back: ShardedMultiMap<u32, u32> =
+            ShardedMultiMap::load_snapshot_from(&path, 2).unwrap();
+        assert_eq!(
+            (back.shard_count(), back.tuple_count(), back.key_count()),
+            (2, 600, 200)
+        );
+
+        let m: ShardedMap<u32, u32> =
+            ShardedMap::build_parallel(4, (0..300u32).map(|i| (i, i * 2)));
+        m.save_snapshot_to(&path).unwrap();
+        let back: ShardedMap<u32, u32> = ShardedMap::load_snapshot_from(&path, 16).unwrap();
+        assert_eq!(
+            (back.shard_count(), back.len(), back.get_cloned(&7)),
+            (16, 300, Some(14))
+        );
+
+        let s: ShardedSet<u32> = ShardedSet::build_parallel(2, 0..400u32);
+        s.save_snapshot_to(&path).unwrap();
+        let back: ShardedSet<u32> = ShardedSet::load_snapshot_from(&path, 1).unwrap();
+        assert_eq!((back.shard_count(), back.len()), (1, 400));
+
+        // A torn file fails with a typed decode error, never a panic.
+        let bytes = std::fs::read(&path).unwrap();
+        for len in (0..bytes.len()).step_by(7).chain([bytes.len() - 1]) {
+            std::fs::write(&path, &bytes[..len]).unwrap();
+            let err = ShardedSet::<u32>::load_snapshot_from(&path, 1).unwrap_err();
+            assert!(!matches!(err, SnapshotError::Io(_)), "{len} bytes: {err:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(matches!(
+            ShardedSet::<u32>::load_snapshot_from(&path, 1),
+            Err(SnapshotError::Io(_))
+        ));
     }
 }

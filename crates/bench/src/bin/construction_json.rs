@@ -3,7 +3,8 @@
 //! trajectory of the transient editing paths is tracked across PRs
 //! (`BENCH_construction.json` at the repository root).
 //!
-//! Knobs via environment:
+//! Knobs via environment (the `AXIOM_CONSTRUCTION` prefix of
+//! [`paper_bench::report`]):
 //!
 //! * `AXIOM_CONSTRUCTION_PROFILE` — `quick` (CI smoke) or `thorough`
 //!   (default; the numbers checked into the repository);
@@ -15,113 +16,69 @@
 //! * `AXIOM_CONSTRUCTION_MIN_SPEEDUP` — override the gate threshold
 //!   (default 1.0; the acceptance target for this optimization is 1.5).
 
-use std::time::Instant;
-
 use axiom::{AxiomFusedMultiMap, AxiomMultiMap};
 use champ::ChampMap;
 use idiomatic::{ClojureMultiMap, NestedChampMultiMap, ScalaMultiMap};
+use paper_bench::report::{best_ns, Bench, Gate, Row};
 use trie_common::ops::{MapOps, MultiMapOps, TransientOps};
 use workloads::build::{map_persistent, map_transient, multimap_persistent, multimap_transient};
 use workloads::data::{map_workload, multimap_workload};
 
 const SEED: u64 = 11;
 
+/// Best-of-`reps` wall time of one full build after one discarded warmup,
+/// in ns per item.
+fn build_ns_per_op(items: usize, reps: usize, mut build: impl FnMut() -> usize) -> f64 {
+    build();
+    best_ns(reps, || assert_eq!(build(), items, "build dropped items")) / items as f64
+}
+
 /// One `impl × size` data point.
-struct Row {
-    name: &'static str,
-    kind: &'static str,
-    keys: usize,
-    items: usize,
-    persistent_ns_per_op: f64,
-    transient_ns_per_op: f64,
+fn row(name: &str, kind: &str, keys: usize, items: usize, persistent: f64, transient: f64) -> Row {
+    Row::new()
+        .str("impl", name)
+        .str("kind", kind)
+        .int("keys", keys)
+        .int("items", items)
+        .num("persistent_ns_per_op", persistent, 2)
+        .num("transient_ns_per_op", transient, 2)
+        .num("speedup", persistent / transient, 3)
 }
 
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.persistent_ns_per_op / self.transient_ns_per_op
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "    {{\"impl\": \"{}\", \"kind\": \"{}\", \"keys\": {}, \"items\": {}, \
-             \"persistent_ns_per_op\": {:.2}, \"transient_ns_per_op\": {:.2}, \
-             \"speedup\": {:.3}}}",
-            self.name,
-            self.kind,
-            self.keys,
-            self.items,
-            self.persistent_ns_per_op,
-            self.transient_ns_per_op,
-            self.speedup()
-        )
-    }
-}
-
-/// Best-of-`reps` wall time of one full build, in ns per item.
-fn best_ns_per_op(items: usize, reps: usize, mut f: impl FnMut() -> usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let n = std::hint::black_box(f());
-        let elapsed = start.elapsed().as_nanos() as f64;
-        assert_eq!(n, items, "build dropped items");
-        best = best.min(elapsed / items as f64);
-    }
-    best
-}
-
-fn bench_multimap<M>(name: &'static str, keys: usize, reps: usize) -> Row
+fn bench_multimap<M>(name: &str, keys: usize, reps: usize) -> Row
 where
     M: MultiMapOps<u32, u32> + TransientOps<(u32, u32)>,
 {
     let w = multimap_workload(keys, SEED);
     let items = w.tuples.len();
-    // One discarded warmup per path.
-    let _ = multimap_persistent::<M>(&w.tuples).tuple_count();
-    let persistent = best_ns_per_op(items, reps, || {
+    let persistent = build_ns_per_op(items, reps, || {
         multimap_persistent::<M>(&w.tuples).tuple_count()
     });
-    let _ = multimap_transient::<M>(&w.tuples).tuple_count();
-    let transient = best_ns_per_op(items, reps, || {
+    let transient = build_ns_per_op(items, reps, || {
         multimap_transient::<M>(&w.tuples).tuple_count()
     });
-    Row {
-        name,
-        kind: "multimap",
-        keys,
-        items,
-        persistent_ns_per_op: persistent,
-        transient_ns_per_op: transient,
-    }
+    row(name, "multimap", keys, items, persistent, transient)
 }
 
-fn bench_map<M>(name: &'static str, keys: usize, reps: usize) -> Row
+fn bench_map<M>(name: &str, keys: usize, reps: usize) -> Row
 where
     M: MapOps<u32, u32> + TransientOps<(u32, u32)>,
 {
     let w = map_workload(keys, SEED);
     let items = w.entries.len();
-    let _ = map_persistent::<M>(&w.entries).len();
-    let persistent = best_ns_per_op(items, reps, || map_persistent::<M>(&w.entries).len());
-    let _ = map_transient::<M>(&w.entries).len();
-    let transient = best_ns_per_op(items, reps, || map_transient::<M>(&w.entries).len());
-    Row {
-        name,
-        kind: "map",
-        keys,
-        items,
-        persistent_ns_per_op: persistent,
-        transient_ns_per_op: transient,
-    }
+    let persistent = build_ns_per_op(items, reps, || map_persistent::<M>(&w.entries).len());
+    let transient = build_ns_per_op(items, reps, || map_transient::<M>(&w.entries).len());
+    row(name, "map", keys, items, persistent, transient)
 }
 
 fn main() {
-    let profile = std::env::var("AXIOM_CONSTRUCTION_PROFILE").unwrap_or_else(|_| "thorough".into());
+    let bench = Bench::from_env("AXIOM_CONSTRUCTION");
     // 66.7k keys at the 50/50 1:1/1:2 shape ≈ 100k tuples (the acceptance
     // data point).
-    let (sizes, reps) = match profile.as_str() {
-        "quick" => (vec![1 << 10, 66_700], 3),
-        _ => (vec![1 << 10, 1 << 14, 66_700], 5),
+    let (sizes, reps) = if bench.quick() {
+        (vec![1 << 10, 66_700], 3)
+    } else {
+        (vec![1 << 10, 1 << 14, 66_700], 5)
     };
 
     let mut rows = Vec::new();
@@ -148,53 +105,36 @@ fn main() {
         rows.push(bench_map::<ChampMap<u32, u32>>("champ-map", keys, reps));
     }
 
-    let body: Vec<String> = rows.iter().map(Row::json).collect();
-    let json = format!(
-        "{{\n  \"schema\": \"axiom-construction-v1\",\n  \"profile\": \"{}\",\n  \
-         \"seed\": {},\n  \"ns_per_op\": \"full build wall time divided by item count, \
-         best of {} runs\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        profile,
-        SEED,
-        reps,
-        body.join(",\n")
+    let note = format!("full build wall time divided by item count, best of {reps} runs");
+    bench.emit(
+        &bench
+            .header("axiom-construction-v1", Some(SEED))
+            .str("ns_per_op", &note),
+        &rows,
     );
 
-    print!("{json}");
-
-    let out = std::env::var("AXIOM_CONSTRUCTION_OUT")
-        .unwrap_or_else(|_| "BENCH_construction.json".into());
-    if out != "-" {
-        std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        eprintln!("wrote {out}");
-    }
-
-    if std::env::var("AXIOM_CONSTRUCTION_GATE").is_ok() {
-        let min_speedup: f64 = std::env::var("AXIOM_CONSTRUCTION_MIN_SPEEDUP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1.0);
+    if bench.gate.is_some() {
+        let min_speedup = bench.knob("MIN_SPEEDUP", 1.0);
         let gated: Vec<&Row> = rows
             .iter()
-            .filter(|r| r.name == "axiom" && r.items >= 100_000)
+            .filter(|r| r.get_str("impl") == "axiom" && r.get_num("items") >= 100_000.0)
             .collect();
         assert!(
             !gated.is_empty(),
             "gate requested but no >=100k-tuple axiom data point was measured"
         );
+        let mut gate = Gate::default();
         for row in gated {
-            let speedup = row.speedup();
-            if speedup < min_speedup {
-                eprintln!(
-                    "GATE FAILED: axiom transient build at {} tuples is only x{:.2} \
-                     vs the persistent fold (required x{:.2})",
-                    row.items, speedup, min_speedup
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "gate ok: axiom transient x{:.2} vs persistent fold at {} tuples",
-                speedup, row.items
+            let speedup = row.get_num("speedup");
+            gate.check(
+                speedup >= min_speedup,
+                format!(
+                    "axiom transient build at {} tuples is x{speedup:.2} vs the persistent \
+                     fold (required x{min_speedup:.2})",
+                    row.get_num("items")
+                ),
             );
         }
+        gate.finish();
     }
 }

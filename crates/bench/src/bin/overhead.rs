@@ -24,10 +24,7 @@ where
 }
 
 fn main() {
-    let max_exp: u32 = std::env::var("AXIOM_BENCH_MAX_EXP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
+    let max_exp: u32 = paper_bench::report::knob("AXIOM_BENCH_MAX_EXP", 16);
     let sizes: Vec<usize> = (10..=max_exp).step_by(2).map(|e| 1usize << e).collect();
 
     println!("## Per-tuple storage overhead (bytes/tuple, structure only)");

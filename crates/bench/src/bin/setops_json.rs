@@ -16,7 +16,8 @@
 //!   merges nodes instead of probing elements, so it typically still wins,
 //!   but no 10x is claimed here).
 //!
-//! Knobs via environment:
+//! Knobs via environment (the `AXIOM_SETOPS` prefix of
+//! [`paper_bench::report`]):
 //!
 //! * `AXIOM_SETOPS_PROFILE` — `quick` (CI smoke) or `thorough` (default;
 //!   the 1M-element numbers checked into the repository);
@@ -32,28 +33,14 @@
 //!   real work no walk can skip, so union's honest ceiling on this shape
 //!   is a few-fold, while diff's is bounded only by the divergence.
 
-use std::time::Instant;
-
 use axiom::AxiomSet;
 use champ::ChampSet;
-use trie_common::ops::SetDiff;
-
-/// Median wall time of `reps` runs of `f`, in ns (result black-boxed).
-fn median_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
+use paper_bench::report::{median_ns, Bench, Gate, Row};
+use trie_common::ops::{SetAlgebraOps, SetDiff, SetOps};
 
 /// The documented element-wise `diff` fallback, reproduced here so the
 /// structural implementation is measured against exactly what it replaced.
-fn diff_elementwise(a: &AxiomSet<u64>, b: &AxiomSet<u64>) -> SetDiff<u64> {
+fn diff_elementwise<S: SetOps<u64>>(a: &S, b: &S) -> SetDiff<u64> {
     let mut out = SetDiff::new();
     for v in b.iter() {
         if !a.contains(v) {
@@ -68,178 +55,96 @@ fn diff_elementwise(a: &AxiomSet<u64>, b: &AxiomSet<u64>) -> SetDiff<u64> {
     out
 }
 
-fn diff_elementwise_champ(a: &ChampSet<u64>, b: &ChampSet<u64>) -> SetDiff<u64> {
-    let mut out = SetDiff::new();
-    for v in b.iter() {
-        if !a.contains(v) {
-            out.added.push(*v);
+/// Builds the three operand shapes at size `n` for one set type and times
+/// `union` and `diff` on each, structural against element-wise.
+fn bench_set<S>(name: &str, n: usize, reps: usize, union_elementwise: fn(&S, &S) -> S) -> Vec<Row>
+where
+    S: SetAlgebraOps<u64> + FromIterator<u64>,
+{
+    let m = n as u64;
+    let a: S = (0..m).collect();
+    // Freeze, then rewrite 1% of the elements: remove an existing member,
+    // insert a fresh one, spread across the key space so the divergence
+    // touches many subtrees.
+    let divergent = (0..m)
+        .step_by(100)
+        .fold(a.clone(), |b, i| b.removed(&i).inserted(m + i));
+    let shapes = [
+        ("identical", a.clone()),
+        ("divergent1pct", divergent),
+        ("disjoint", (m..2 * m).collect()),
+    ];
+    let mut rows = Vec::new();
+    for (shape, b) in &shapes {
+        let structural_union = median_ns(reps, || a.union(b).len());
+        let elementwise_union = median_ns(reps, || union_elementwise(&a, b).len());
+        let structural_diff = median_ns(reps, || a.diff(b).len());
+        let elementwise_diff = median_ns(reps, || diff_elementwise(&a, b).len());
+        for (op, s, e) in [
+            ("union", structural_union, elementwise_union),
+            ("diff", structural_diff, elementwise_diff),
+        ] {
+            eprintln!(
+                "  {name} {op:5} {shape:13}: structural {s:9.0}ns, element-wise {e:11.0}ns, \
+                 x{:.1}",
+                e / s
+            );
+            rows.push(
+                Row::new()
+                    .str("impl", name)
+                    .str("op", op)
+                    .str("shape", shape)
+                    .int("n", n)
+                    .num("structural_median_ns", s, 0)
+                    .num("elementwise_median_ns", e, 0)
+                    .num("speedup", e / s, 2),
+            );
         }
     }
-    for v in a.iter() {
-        if !b.contains(v) {
-            out.removed.push(*v);
-        }
-    }
-    out
-}
-
-struct Row {
-    imp: &'static str,
-    op: &'static str,
-    shape: &'static str,
-    n: usize,
-    structural_ns: f64,
-    elementwise_ns: f64,
-}
-
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.elementwise_ns / self.structural_ns
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "    {{\"impl\": \"{}\", \"op\": \"{}\", \"shape\": \"{}\", \"n\": {}, \
-             \"structural_median_ns\": {:.0}, \"elementwise_median_ns\": {:.0}, \
-             \"speedup\": {:.2}}}",
-            self.imp,
-            self.op,
-            self.shape,
-            self.n,
-            self.structural_ns,
-            self.elementwise_ns,
-            self.speedup()
-        )
-    }
-}
-
-/// Builds the three operand shapes at size `n` for one set type, via the
-/// same closure-driven plumbing for both tries.
-macro_rules! bench_set_impl {
-    ($name:literal, $ty:ty, $diff_ew:ident, $n:expr, $reps:expr, $rows:expr) => {{
-        let n = $n as u64;
-        let a: $ty = (0..n).collect();
-        let shapes: [(&'static str, $ty); 3] = [
-            ("identical", a.clone()),
-            ("divergent1pct", {
-                // Freeze, then rewrite 1% of the elements: remove an
-                // existing member, insert a fresh one, spread across the
-                // key space so the divergence touches many subtrees.
-                let mut b = a.clone();
-                let step = 100;
-                for i in (0..n).step_by(step) {
-                    b = b.removed(&i).inserted(n + i);
-                }
-                b
-            }),
-            ("disjoint", (n..2 * n).collect()),
-        ];
-        for (shape, b) in &shapes {
-            let structural_union = median_ns($reps, || a.union(b).len());
-            let elementwise_union = median_ns($reps, || a.union_elementwise(b).len());
-            let structural_diff = median_ns($reps, || a.diff(b).len());
-            let elementwise_diff = median_ns($reps, || $diff_ew(&a, b).len());
-            for (op, s, e) in [
-                ("union", structural_union, elementwise_union),
-                ("diff", structural_diff, elementwise_diff),
-            ] {
-                let row = Row {
-                    imp: $name,
-                    op,
-                    shape,
-                    n: $n,
-                    structural_ns: s,
-                    elementwise_ns: e,
-                };
-                eprintln!(
-                    "  {} {op:5} {shape:13}: structural {:9.0}ns, element-wise {:11.0}ns, x{:.1}",
-                    $name,
-                    row.structural_ns,
-                    row.elementwise_ns,
-                    row.speedup()
-                );
-                $rows.push(row);
-            }
-        }
-    }};
+    rows
 }
 
 fn main() {
-    let profile = std::env::var("AXIOM_SETOPS_PROFILE").unwrap_or_else(|_| "thorough".into());
-    let (sizes, reps) = match profile.as_str() {
-        "quick" => (vec![65_536usize], 3),
-        _ => (vec![65_536usize, 1_000_000], 5),
+    let bench = Bench::from_env("AXIOM_SETOPS");
+    let (sizes, reps) = if bench.quick() {
+        (vec![65_536usize], 3)
+    } else {
+        (vec![65_536usize, 1_000_000], 5)
     };
 
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows = Vec::new();
     for &n in &sizes {
         eprintln!("set algebra at {n} elements");
-        bench_set_impl!("axiom", AxiomSet<u64>, diff_elementwise, n, reps, rows);
-        bench_set_impl!(
-            "champ",
-            ChampSet<u64>,
-            diff_elementwise_champ,
-            n,
-            reps,
-            rows
-        );
+        rows.extend(bench_set("axiom", n, reps, AxiomSet::union_elementwise));
+        rows.extend(bench_set("champ", n, reps, ChampSet::union_elementwise));
     }
 
-    let body: Vec<String> = rows.iter().map(Row::json).collect();
-    let json = format!(
-        "{{\n  \"schema\": \"axiom-setops-v1\",\n  \"profile\": \"{}\",\n  \"note\": \
-         \"structural = lockstep node walk skipping Arc-pointer-equal subtrees; element-wise = \
-         the documented per-element fallback the algebra traits default to; divergent1pct = \
-         operand frozen then 1% of elements rewritten\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        profile,
-        body.join(",\n")
+    let note = "structural = lockstep node walk skipping Arc-pointer-equal subtrees; \
+                element-wise = the documented per-element fallback the algebra traits default \
+                to; divergent1pct = operand frozen then 1% of elements rewritten";
+    bench.emit(
+        &bench.header("axiom-setops-v1", None).str("note", note),
+        &rows,
     );
-    print!("{json}");
 
-    let out = std::env::var("AXIOM_SETOPS_OUT").unwrap_or_else(|_| "BENCH_setops.json".into());
-    if out != "-" {
-        std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        eprintln!("wrote {out}");
-    }
-
-    if std::env::var("AXIOM_SETOPS_GATE").is_ok() {
-        let min_diff: f64 = std::env::var("AXIOM_SETOPS_MIN_SPEEDUP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10.0);
-        let min_union: f64 = std::env::var("AXIOM_SETOPS_MIN_UNION_SPEEDUP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2.5);
-        let largest = sizes.iter().copied().max().expect("sizes nonempty");
-        let mut failed = false;
-        for row in rows
-            .iter()
-            .filter(|r| r.n == largest && r.shape == "divergent1pct")
-        {
-            let required = if row.op == "diff" {
-                min_diff
-            } else {
-                min_union
-            };
-            if row.speedup() < required {
-                eprintln!(
-                    "GATE FAILED: {} {} on divergent1pct at {}: x{:.2} (required x{:.2})",
-                    row.imp,
-                    row.op,
-                    row.n,
-                    row.speedup(),
-                    required
-                );
-                failed = true;
-            }
+    if bench.gate.is_some() {
+        let min_diff = bench.knob("MIN_SPEEDUP", 10.0);
+        let min_union = bench.knob("MIN_UNION_SPEEDUP", 2.5);
+        let largest = sizes.iter().max().expect("sizes nonempty").to_string();
+        let gated = [("n", largest.as_str()), ("shape", "divergent1pct")];
+        let mut gate = Gate::default();
+        for row in rows.iter().filter(|r| r.matches(&gated)) {
+            let (op, speedup) = (row.get_str("op"), row.get_num("speedup"));
+            let required = if op == "diff" { min_diff } else { min_union };
+            gate.check(
+                speedup >= required,
+                format!(
+                    "{} {op} on divergent1pct at {largest}: x{speedup:.2} (required \
+                     x{required:.2})",
+                    row.get_str("impl")
+                ),
+            );
         }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "gate ok on 1%-divergent operands: structural diff ≥ x{min_diff:.1}, \
-             union ≥ x{min_union:.1}"
-        );
+        gate.finish();
     }
 }

@@ -16,7 +16,8 @@
 //!   enough cores), so it is the machine-independent scaling statement; the
 //!   `cpus` field records how much real parallelism backed `speedup_wall`.
 //!
-//! Knobs via environment:
+//! Knobs via environment (the `AXIOM_SHARDED` prefix of
+//! [`paper_bench::report`]):
 //!
 //! * `AXIOM_SHARDED_PROFILE` — `quick` (CI smoke) or `thorough` (default;
 //!   the numbers checked into the repository, topping out at ~1M tuples);
@@ -28,10 +29,8 @@
 //!   AXIOM_SHARDED_MIN_WALL` (default 0.7, i.e. sharding never costs more
 //!   than ~1.4× wall even with no cores to exploit).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Instant;
-
 use axiom::AxiomMultiMap;
+use paper_bench::report::{best_ns, closed_loop, cpus, find, Bench, Gate, Row};
 use sharded::{partition_tuples, ShardedMultiMap};
 use trie_common::ops::TransientOps;
 use workloads::concurrent::concurrent_workload;
@@ -44,82 +43,12 @@ const READERS: usize = 2;
 
 type Mm = AxiomMultiMap<u32, u32>;
 
-/// Best-of-`reps` wall time of `f`, in ns.
-fn best_ns(reps: usize, mut f: impl FnMut() -> usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_nanos() as f64);
-    }
-    best
-}
-
-struct BuildRow {
-    keys: usize,
-    items: usize,
-    shards: usize,
-    single_ns: f64,
-    partition_ns: f64,
-    max_shard_ns: f64,
-    sum_shards_ns: f64,
-    wall_ns: f64,
-}
-
-impl BuildRow {
-    fn speedup_wall(&self) -> f64 {
-        self.single_ns / self.wall_ns
-    }
-
-    fn speedup_critical(&self) -> f64 {
-        self.single_ns / (self.partition_ns + self.max_shard_ns)
-    }
-
-    fn json(&self) -> String {
-        let per = |ns: f64| ns / self.items as f64;
-        format!(
-            "    {{\"kind\": \"build\", \"keys\": {}, \"items\": {}, \"shards\": {}, \
-             \"single_transient_ns_per_item\": {:.2}, \"partition_ns_per_item\": {:.2}, \
-             \"max_shard_ns_per_item\": {:.2}, \"sum_shards_ns_per_item\": {:.2}, \
-             \"parallel_wall_ns_per_item\": {:.2}, \"speedup_wall\": {:.3}, \
-             \"speedup_critical_path\": {:.3}}}",
-            self.keys,
-            self.items,
-            self.shards,
-            per(self.single_ns),
-            per(self.partition_ns),
-            per(self.max_shard_ns),
-            per(self.sum_shards_ns),
-            per(self.wall_ns),
-            self.speedup_wall(),
-            self.speedup_critical()
-        )
-    }
-}
-
-struct MixedRow {
-    keys: usize,
-    shards: usize,
-    reads_per_sec: f64,
-    edits_per_sec: f64,
-}
-
-impl MixedRow {
-    fn json(&self) -> String {
-        format!(
-            "    {{\"kind\": \"mixed\", \"keys\": {}, \"shards\": {}, \"readers\": {READERS}, \
-             \"read_probes_per_sec\": {:.0}, \"write_edits_per_sec\": {:.0}}}",
-            self.keys, self.shards, self.reads_per_sec, self.edits_per_sec
-        )
-    }
-}
-
-fn bench_build(keys: usize, reps: usize, rows: &mut Vec<BuildRow>) {
+fn bench_build(keys: usize, reps: usize, rows: &mut Vec<Row>) {
     let w = multimap_workload(keys, SEED);
     let items = w.tuples.len();
     eprintln!("build scaling at {keys} keys / {items} tuples");
 
-    // One warmup + measured baseline: the PR 3 single-threaded transient.
+    // One warmup + measured baseline: the single-threaded transient build.
     let _ = multimap_transient::<Mm>(&w.tuples).tuple_count();
     let single_ns = best_ns(reps, || multimap_transient::<Mm>(&w.tuples).tuple_count());
 
@@ -134,164 +63,128 @@ fn bench_build(keys: usize, reps: usize, rows: &mut Vec<BuildRow>) {
             .iter()
             .map(|part| best_ns(reps, || Mm::built_from(part.iter().copied()).tuple_count()))
             .collect();
+        let max_shard_ns = shard_ns.iter().cloned().fold(0.0, f64::max);
         let wall_ns = best_ns(reps, || {
             ShardedMultiMap::<u32, u32>::build_parallel(shards, w.tuples.iter().copied())
                 .tuple_count()
         });
-        let row = BuildRow {
-            keys,
-            items,
-            shards,
-            single_ns,
-            partition_ns,
-            max_shard_ns: shard_ns.iter().cloned().fold(0.0, f64::max),
-            sum_shards_ns: shard_ns.iter().sum(),
-            wall_ns,
-        };
-        eprintln!(
-            "  {shards} shard(s): wall x{:.2}, critical path x{:.2}",
-            row.speedup_wall(),
-            row.speedup_critical()
+        let (wall, critical) = (
+            single_ns / wall_ns,
+            single_ns / (partition_ns + max_shard_ns),
         );
-        rows.push(row);
+        eprintln!("  {shards} shard(s): wall x{wall:.2}, critical path x{critical:.2}");
+        let per = |ns: f64| ns / items as f64;
+        rows.push(
+            Row::new()
+                .str("kind", "build")
+                .int("keys", keys)
+                .int("items", items)
+                .int("shards", shards)
+                .num("single_transient_ns_per_item", per(single_ns), 2)
+                .num("partition_ns_per_item", per(partition_ns), 2)
+                .num("max_shard_ns_per_item", per(max_shard_ns), 2)
+                .num("sum_shards_ns_per_item", per(shard_ns.iter().sum()), 2)
+                .num("parallel_wall_ns_per_item", per(wall_ns), 2)
+                .num("speedup_wall", wall, 3)
+                .num("speedup_critical_path", critical, 3),
+        );
     }
 }
 
-fn bench_mixed(keys: usize, min_secs: f64, rows: &mut Vec<MixedRow>) {
+fn bench_mixed(keys: usize, min_secs: f64, rows: &mut Vec<Row>) {
     // Writer batches + read probes from the shared scenario generator.
     let w = concurrent_workload(keys, 64, 64, SEED);
     eprintln!("mixed read/write at {keys} keys ({READERS} readers + 1 writer)");
     for &shards in &SHARD_SWEEP {
         let mm: ShardedMultiMap<u32, u32> =
             ShardedMultiMap::build_parallel(shards, w.base.iter().copied());
-        let done = AtomicBool::new(false);
-        let reads = AtomicUsize::new(0);
-        let mut edits = 0usize;
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..READERS {
-                scope.spawn(|| {
-                    // Re-snapshot between probe sweeps, like a server
-                    // refreshing its view between request waves.
-                    while !done.load(Ordering::Relaxed) {
-                        let snap = mm.snapshot();
-                        let mut n = 0;
-                        for key in &w.read_keys {
-                            n += snap.value_count(key);
-                        }
-                        std::hint::black_box(n);
-                        reads.fetch_add(w.read_keys.len(), Ordering::Relaxed);
-                    }
-                });
+        // Each reader re-snapshots between probe sweeps, like a server
+        // refreshing its view between request waves; the writer replays
+        // the batch script.
+        let sweeps = vec![&w.read_keys; READERS];
+        let reader = || {
+            |keys: &Vec<u32>| {
+                let snap = mm.snapshot();
+                keys.iter().map(|key| snap.value_count(key)).sum::<usize>()
             }
-            // Replay the batch script until the run is long enough for the
-            // readers to be fairly scheduled against the writer.
-            while start.elapsed().as_secs_f64() < min_secs {
-                for batch in &w.batches {
-                    mm.apply(batch.iter().cloned());
-                    edits += batch.len();
-                }
-            }
-            done.store(true, Ordering::Relaxed);
-        });
-        let secs = start.elapsed().as_secs_f64();
-        let row = MixedRow {
-            keys,
-            shards,
-            reads_per_sec: reads.load(Ordering::Relaxed) as f64 / secs,
-            edits_per_sec: edits as f64 / secs,
         };
-        eprintln!(
-            "  {shards} shard(s): {:.0} reads/s, {:.0} edits/s",
-            row.reads_per_sec, row.edits_per_sec
+        let write_pass = || {
+            let batches = w.batches.iter();
+            batches
+                .map(|b| {
+                    mm.apply(b.iter().cloned());
+                    b.len()
+                })
+                .sum()
+        };
+        let run = closed_loop(READERS, &sweeps, min_secs, reader, write_pass);
+        let reads = run.per_sec(run.latencies.len() * w.read_keys.len());
+        let edits = run.per_sec(run.edits);
+        eprintln!("  {shards} shard(s): {reads:.0} reads/s, {edits:.0} edits/s");
+        rows.push(
+            Row::new()
+                .str("kind", "mixed")
+                .int("keys", keys)
+                .int("shards", shards)
+                .int("readers", READERS)
+                .num("read_probes_per_sec", reads, 0)
+                .num("write_edits_per_sec", edits, 0),
         );
-        rows.push(row);
     }
 }
 
 fn main() {
-    let profile = std::env::var("AXIOM_SHARDED_PROFILE").unwrap_or_else(|_| "thorough".into());
+    let bench = Bench::from_env("AXIOM_SHARDED");
     // 66.7k / 667k keys at the 50/50 1:1/1:2 shape ≈ 100k / 1M tuples.
-    let (sizes, mixed_keys, reps, mixed_secs) = match profile.as_str() {
-        "quick" => (vec![66_700], 16_384, 2, 0.25),
-        _ => (vec![66_700, 667_000], 66_700, 3, 1.0),
+    let (sizes, mixed_keys, reps, mixed_secs) = if bench.quick() {
+        (vec![66_700], 16_384, 2, 0.25)
+    } else {
+        (vec![66_700, 667_000], 66_700, 3, 1.0)
     };
 
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut build_rows = Vec::new();
+    let mut rows = Vec::new();
     for &keys in &sizes {
-        bench_build(keys, reps, &mut build_rows);
+        bench_build(keys, reps, &mut rows);
     }
-    let mut mixed_rows = Vec::new();
-    bench_mixed(mixed_keys, mixed_secs, &mut mixed_rows);
+    bench_mixed(mixed_keys, mixed_secs, &mut rows);
 
-    let body: Vec<String> = build_rows
-        .iter()
-        .map(BuildRow::json)
-        .chain(mixed_rows.iter().map(MixedRow::json))
-        .collect();
-    let json = format!(
-        "{{\n  \"schema\": \"axiom-sharded-v1\",\n  \"profile\": \"{}\",\n  \"seed\": {},\n  \
-         \"cpus\": {},\n  \"note\": \"speedup_critical_path = single-threaded transient build \
-         over (partition + slowest shard build), the span of the parallel computation; \
-         speedup_wall is the measured scoped-thread wall time on this machine's cpus\",\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        profile,
-        SEED,
-        cpus,
-        body.join(",\n")
+    let note = "speedup_critical_path = single-threaded transient build over (partition + \
+                slowest shard build), the span of the parallel computation; speedup_wall is the \
+                measured scoped-thread wall time on this machine's cpus";
+    bench.emit(
+        &bench
+            .header("axiom-sharded-v1", Some(SEED))
+            .str("note", note),
+        &rows,
     );
-    print!("{json}");
 
-    let out = std::env::var("AXIOM_SHARDED_OUT").unwrap_or_else(|_| "BENCH_sharded.json".into());
-    if out != "-" {
-        std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        eprintln!("wrote {out}");
-    }
-
-    if std::env::var("AXIOM_SHARDED_GATE").is_ok() {
-        let min_critical: f64 = std::env::var("AXIOM_SHARDED_MIN_SPEEDUP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3.0);
-        let min_wall: f64 = std::env::var("AXIOM_SHARDED_MIN_WALL")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.7);
-        let largest = sizes.iter().copied().max().expect("sizes nonempty");
-        let row = build_rows
-            .iter()
-            .find(|r| r.keys == largest && r.shards == 8)
-            .expect("8-shard row measured");
-        let mut failed = false;
-        if row.speedup_critical() < min_critical {
-            eprintln!(
-                "GATE FAILED: 8-shard critical-path speedup x{:.2} at {} tuples \
-                 (required x{:.2})",
-                row.speedup_critical(),
-                row.items,
-                min_critical
-            );
-            failed = true;
-        }
-        if row.speedup_wall() < min_wall {
-            eprintln!(
-                "GATE FAILED: 8-shard wall speedup x{:.2} at {} tuples (required x{:.2})",
-                row.speedup_wall(),
-                row.items,
-                min_wall
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "gate ok: 8 shards at {} tuples — critical path x{:.2}, wall x{:.2} on {} cpu(s)",
-            row.items,
-            row.speedup_critical(),
-            row.speedup_wall(),
-            cpus
+    if bench.gate.is_some() {
+        let min_critical = bench.knob("MIN_SPEEDUP", 3.0);
+        let min_wall = bench.knob("MIN_WALL", 0.7);
+        let largest = sizes.iter().max().expect("sizes nonempty").to_string();
+        let row = find(
+            &rows,
+            &[("kind", "build"), ("keys", &largest), ("shards", "8")],
         );
+        let items = row.get_num("items");
+        let mut gate = Gate::default();
+        let critical = row.get_num("speedup_critical_path");
+        gate.check(
+            critical >= min_critical,
+            format!(
+                "8-shard critical-path speedup x{critical:.2} at {items} tuples (required \
+                 x{min_critical:.2})"
+            ),
+        );
+        let wall = row.get_num("speedup_wall");
+        gate.check(
+            wall >= min_wall,
+            format!(
+                "8-shard wall speedup x{wall:.2} at {items} tuples on {} cpu(s) (required \
+                 x{min_wall:.2})",
+                cpus()
+            ),
+        );
+        gate.finish();
     }
 }

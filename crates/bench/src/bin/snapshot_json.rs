@@ -5,9 +5,10 @@
 //!
 //! Every restore is verified against the scenario's probe oracle (present
 //! tuples hit, partial matches stay partial, misses miss) and the expected
-//! tuple count — a fast-but-wrong restore fails the run outright.
+//! tuple count — a fast-but-wrong restore panics, failing the run outright.
 //!
-//! Knobs via environment:
+//! Knobs via environment (the `AXIOM_SNAPSHOT` prefix of
+//! [`paper_bench::report`]):
 //!
 //! * `AXIOM_SNAPSHOT_PROFILE` — `quick` (CI smoke: the 100k-tuple
 //!   instance) or `thorough` (default: checked-in numbers, up to ~1M
@@ -18,9 +19,8 @@
 //!   size the 8-shard restore takes at most `AXIOM_SNAPSHOT_MAX_FACTOR`
 //!   (default 3.0) times the fresh transient build.
 
-use std::time::Instant;
-
 use axiom::AxiomMultiMap;
+use paper_bench::report::{best_ns, find, Bench, Gate, Row};
 use sharded::ShardedMultiMap;
 use trie_common::snapshot::inspect;
 use trie_common::snapshot::SnapshotRead;
@@ -31,63 +31,6 @@ const SEED: u64 = 11;
 
 type Mm = AxiomMultiMap<u32, u32>;
 type Sharded = ShardedMultiMap<u32, u32>;
-
-/// Best-of-`reps` wall time of `f`, in ns.
-fn best_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_nanos() as f64);
-    }
-    best
-}
-
-struct SizeReport {
-    keys: usize,
-    items: usize,
-    bytes: usize,
-    bytes_per_tuple: f64,
-    fresh_build_ns: f64,
-    save_ns: f64,
-    restores: Vec<RestoreRow>,
-}
-
-struct RestoreRow {
-    shards: usize,
-    restore_ns: f64,
-    vs_fresh_build: f64,
-}
-
-impl SizeReport {
-    fn json(&self) -> String {
-        let restores: Vec<String> = self
-            .restores
-            .iter()
-            .map(|r| {
-                format!(
-                    "      {{\"shards\": {}, \"restore_ns_per_item\": {:.2}, \
-                     \"restore_vs_fresh_build\": {:.3}}}",
-                    r.shards,
-                    r.restore_ns / self.items as f64,
-                    r.vs_fresh_build
-                )
-            })
-            .collect();
-        format!(
-            "    {{\"keys\": {}, \"items\": {}, \"snapshot_bytes\": {}, \
-             \"bytes_per_tuple\": {:.2}, \"fresh_build_ns_per_item\": {:.2}, \
-             \"save_ns_per_item\": {:.2}, \"save_shards\": {SAVE_SHARDS}, \"restores\": [\n{}\n    ]}}",
-            self.keys,
-            self.items,
-            self.bytes,
-            self.bytes_per_tuple,
-            self.fresh_build_ns / self.items as f64,
-            self.save_ns / self.items as f64,
-            restores.join(",\n")
-        )
-    }
-}
 
 /// Probe-verifies a sharded restore with the same oracle
 /// [`workloads::snapshot::verify_restore`] applies to plain restores
@@ -120,9 +63,10 @@ fn verify_sharded(restored: &Sharded, w: &SnapshotWorkload) -> Result<(), String
     Ok(())
 }
 
-fn bench_size(keys: usize, reps: usize) -> SizeReport {
+fn bench_size(keys: usize, reps: usize) -> Row {
     let w = snapshot_workload(keys, SEED);
     let items = w.tuples.len();
+    let per = |ns: f64| ns / items as f64;
     eprintln!("snapshot round-trip at {keys} keys / {items} tuples");
 
     let fresh_build_ns = best_ns(reps, || multimap_transient::<Mm>(&w.tuples).tuple_count());
@@ -136,10 +80,8 @@ fn bench_size(keys: usize, reps: usize) -> SizeReport {
     // Cross-layer check through the canonical workloads oracle: the same
     // bytes must restore into a plain unsharded trie.
     let plain: Mm = Mm::read_snapshot(&bytes).expect("plain restore");
-    if let Err(why) = verify_restore(&plain, &w) {
-        eprintln!("FATAL: plain restore of the sharded snapshot is corrupt: {why}");
-        std::process::exit(2);
-    }
+    verify_restore(&plain, &w)
+        .unwrap_or_else(|why| panic!("plain restore of the sharded snapshot is corrupt: {why}"));
 
     let mut restores = Vec::new();
     for &shards in &w.restore_shards {
@@ -149,86 +91,70 @@ fn bench_size(keys: usize, reps: usize) -> SizeReport {
                 .tuple_count()
         });
         let restored = Sharded::load_snapshot(&bytes, shards).expect("restore");
-        if let Err(why) = verify_sharded(&restored, &w) {
-            eprintln!("FATAL: restore at {shards} shards is corrupt: {why}");
-            std::process::exit(2);
-        }
-        let row = RestoreRow {
-            shards,
-            restore_ns,
-            vs_fresh_build: restore_ns / fresh_build_ns,
-        };
+        verify_sharded(&restored, &w)
+            .unwrap_or_else(|why| panic!("restore at {shards} shards is corrupt: {why}"));
+        let vs_fresh_build = restore_ns / fresh_build_ns;
         eprintln!(
-            "  restore at {shards} shard(s): x{:.2} of the fresh transient build",
-            row.vs_fresh_build
+            "  restore at {shards} shard(s): x{vs_fresh_build:.2} of the fresh transient build"
         );
-        restores.push(row);
+        restores.push(
+            Row::new()
+                .int("shards", shards)
+                .num("restore_ns_per_item", per(restore_ns), 2)
+                .num("restore_vs_fresh_build", vs_fresh_build, 3),
+        );
     }
 
-    SizeReport {
-        keys,
-        items,
-        bytes_per_tuple: bytes.len() as f64 / items as f64,
-        bytes: bytes.len(),
-        fresh_build_ns,
-        save_ns,
-        restores,
-    }
+    Row::new()
+        .int("keys", keys)
+        .int("items", items)
+        .int("snapshot_bytes", bytes.len())
+        .num("bytes_per_tuple", bytes.len() as f64 / items as f64, 2)
+        .num("fresh_build_ns_per_item", per(fresh_build_ns), 2)
+        .num("save_ns_per_item", per(save_ns), 2)
+        .int("save_shards", SAVE_SHARDS)
+        .rows("restores", restores)
 }
 
 fn main() {
-    let profile = std::env::var("AXIOM_SNAPSHOT_PROFILE").unwrap_or_else(|_| "thorough".into());
+    let bench = Bench::from_env("AXIOM_SNAPSHOT");
     // 66.7k keys at the 50/50 1:1/1:2 shape ≈ 100k tuples.
-    let (sizes, reps) = match profile.as_str() {
-        "quick" => (vec![66_700usize], 2),
-        _ => (vec![66_700, 667_000], 3),
+    let (sizes, reps) = if bench.quick() {
+        (vec![66_700usize], 2)
+    } else {
+        (vec![66_700, 667_000], 3)
     };
 
-    let reports: Vec<SizeReport> = sizes.iter().map(|&keys| bench_size(keys, reps)).collect();
+    let rows: Vec<Row> = sizes.iter().map(|&keys| bench_size(keys, reps)).collect();
 
-    let body: Vec<String> = reports.iter().map(SizeReport::json).collect();
-    let json = format!(
-        "{{\n  \"schema\": \"axiom-snapshot-v1\",\n  \"profile\": \"{}\",\n  \"seed\": {},\n  \
-         \"cpus\": {},\n  \"note\": \"save at {SAVE_SHARDS} shards (parallel per-shard encode); \
-         restores re-route elements through the new partition and bulk-build via the transient \
-         protocol; every restore is probe-verified before timing is reported\",\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        profile,
-        SEED,
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        body.join(",\n")
+    let note = format!(
+        "save at {SAVE_SHARDS} shards (parallel per-shard encode); restores re-route elements \
+         through the new partition and bulk-build via the transient protocol; every restore is \
+         probe-verified before timing is reported"
     );
-    print!("{json}");
+    bench.emit(
+        &bench
+            .header("axiom-snapshot-v1", Some(SEED))
+            .str("note", &note),
+        &rows,
+    );
 
-    let out = std::env::var("AXIOM_SNAPSHOT_OUT").unwrap_or_else(|_| "BENCH_snapshot.json".into());
-    if out != "-" {
-        std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        eprintln!("wrote {out}");
-    }
-
-    if std::env::var("AXIOM_SNAPSHOT_GATE").is_ok() {
-        let max_factor: f64 = std::env::var("AXIOM_SNAPSHOT_MAX_FACTOR")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3.0);
-        let largest = reports.last().expect("sizes nonempty");
-        let row = largest
-            .restores
-            .iter()
-            .find(|r| r.shards == SAVE_SHARDS)
-            .expect("8-shard restore measured");
-        if row.vs_fresh_build > max_factor {
-            eprintln!(
-                "GATE FAILED: 8-shard restore of {} tuples is x{:.2} of a fresh transient \
-                 build (allowed x{max_factor:.2})",
-                largest.items, row.vs_fresh_build
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "gate ok: 8-shard restore of {} tuples is x{:.2} of a fresh transient build \
-             (allowed x{max_factor:.2}); snapshot is {:.1} bytes/tuple",
-            largest.items, row.vs_fresh_build, largest.bytes_per_tuple
+    if bench.gate.is_some() {
+        let max_factor = bench.knob("MAX_FACTOR", 3.0);
+        let largest = rows.last().expect("sizes nonempty");
+        let shards = SAVE_SHARDS.to_string();
+        let restore = find(largest.get_rows("restores"), &[("shards", &shards)]);
+        let factor = restore.get_num("restore_vs_fresh_build");
+        let mut gate = Gate::default();
+        gate.check(
+            factor <= max_factor,
+            format!(
+                "8-shard restore of {} tuples is x{factor:.2} of a fresh transient build \
+                 (allowed x{max_factor:.2}); snapshot is {:.1} bytes/tuple",
+                largest.get_num("items"),
+                largest.get_num("bytes_per_tuple")
+            ),
         );
+        gate.finish();
     }
 }

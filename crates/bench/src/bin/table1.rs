@@ -25,10 +25,7 @@ type Axiom = AxiomMultiMap<CfgNode, CfgNode>;
 type Champ = NestedChampMultiMap<CfgNode, CfgNode>;
 
 fn main() {
-    let max: usize = std::env::var("AXIOM_TABLE1_MAX")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1024);
+    let max: usize = paper_bench::report::knob("AXIOM_TABLE1_MAX", 1024);
     let sizes: Vec<usize> = [128usize, 256, 512, 1024, 2048, 4096]
         .into_iter()
         .filter(|&s| s <= max)

@@ -13,6 +13,7 @@ use workloads::data::multimap_workload;
 use workloads::timing::RatioSummary;
 use workloads::{Table, SEEDS};
 
+use crate::report::median;
 use crate::{multimap_times, HarnessConfig};
 
 /// Collected speedup/footprint ratios for one figure.
@@ -32,16 +33,6 @@ pub struct FigureData {
     pub footprint_32: Vec<f64>,
     /// Footprint ratios, 64-bit model.
     pub footprint_64: Vec<f64>,
-}
-
-fn median_of(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
 }
 
 /// Runs the figure comparison against baseline `B`.
@@ -97,7 +88,7 @@ where
                 bucket.push(r);
             }
         }
-        let med: Vec<f64> = per_size.iter().map(|v| median_of(v.clone())).collect();
+        let med: Vec<f64> = per_size.iter().map(|v| median(v.clone())).collect();
         table.row(vec![
             size.to_string(),
             format!("x{:.2}", med[0]),

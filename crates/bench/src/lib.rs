@@ -1,9 +1,13 @@
 //! **paper-bench** — the harness that regenerates every table and figure of
-//! the PLDI'18 AXIOM evaluation. See DESIGN.md §4 for the experiment index.
+//! the PLDI'18 AXIOM evaluation, plus the machine-readable benchmarks the
+//! repository's `BENCH_*.json` files and CI gates come from. See DESIGN.md
+//! §4 for the experiment index.
 //!
 //! The library half holds the reusable measurement suites (operation bursts
-//! per §4.1, footprint sweeps, dominator timings); the binaries in
-//! `src/bin/` print one paper artefact each:
+//! per §4.1, footprint sweeps, dominator timings) and [`report`], the one
+//! harness every `*_json` binary is built on (knobs, timing, rows,
+//! documents, gates, the closed-loop serving mix). The binaries in
+//! `src/bin/` print one artefact each:
 //!
 //! | binary | artefact |
 //! |---|---|
@@ -14,41 +18,60 @@
 //! | `overhead` | §1/§4 per-tuple overhead (65.37 B vs 12.82 B) |
 //! | `footprints` | §4.4 fusion / specialization factors |
 //! | `ablation` | design-choice ablations (dispatch, iteration, canonicalization, fusion) |
+//! | `valuesets` | nested value-set representations |
+//! | `construction_json` | `BENCH_construction.json`: persistent fold vs transient build |
+//! | `query_json` | `BENCH_query.json`: map lookup and iteration vs CHAMP/HAMT |
+//! | `setops_json` | `BENCH_setops.json`: structural vs element-wise set algebra |
+//! | `sharded_json` | `BENCH_sharded.json`: sharded build scaling, mixed read/write |
+//! | `snapshot_json` | `BENCH_snapshot.json`: snapshot save/restore vs fresh build |
+//! | `serving_json` | `BENCH_serving.json`: in-process engine latency, overload, txns |
+//! | `serving_net_json` | `BENCH_net.json`: the engine over loopback TCP, pipelining |
 //!
-//! Knobs via environment: `AXIOM_BENCH_MAX_EXP` (largest size exponent,
-//! default 14), `AXIOM_BENCH_SEEDS` (seeds per size, default 3, max 5),
-//! `AXIOM_BENCH_PROFILE` (`quick`/`thorough`).
+//! The figure binaries read `AXIOM_BENCH_MAX_EXP` (largest size exponent,
+//! default 14), `AXIOM_BENCH_SEEDS` (seeds per size, default 3, max 5) and
+//! `AXIOM_BENCH_PROFILE` (`quick`/`thorough`). Each `*_json` binary reads
+//! `AXIOM_<BIN>_{PROFILE,OUT,GATE}` plus its gates' thresholds (see
+//! [`report`]).
 
 #![warn(missing_docs)]
 
 pub mod figure;
+pub mod report;
 
 use heapmodel::{JvmArch, JvmFootprint, LayoutPolicy};
 use serving::MultiMapRead;
 use trie_common::ops::{MapOps, MultiMapOps, TransientOps};
 use workloads::build::{map_persistent, multimap_persistent, multimap_transient};
-use workloads::concurrent::ReadProbe;
+use workloads::concurrent::{KeyMix, ReadProbe, ServingProfile, ServingWorkload};
 use workloads::data::{MapWorkload, MultiMapWorkload};
 use workloads::timing::{measure, BenchOptions, Stats};
 
-/// The serving read a scripted workload probe stands for (shared by the
-/// in-process and wire serving benchmarks).
-pub fn to_op(probe: &ReadProbe) -> MultiMapRead<u32, u32> {
-    match probe {
-        ReadProbe::ValuesOf(k) => MultiMapRead::ValuesOf(*k),
-        ReadProbe::ContainsKey(k) => MultiMapRead::ContainsKey(*k),
-        ReadProbe::FanOut(ks) => MultiMapRead::FanOut(ks.clone()),
+/// The serving benchmarks' traffic shape over `keys` keys: 512 read
+/// requests of 8 probes (every 16th an 8-key fan-out) and 64 write batches
+/// of 32 edits.
+pub fn serving_profile(keys: usize, mix: KeyMix) -> ServingProfile {
+    ServingProfile {
+        keys,
+        read_batches: 512,
+        reads_per_batch: 8,
+        write_batches: 64,
+        writes_per_batch: 32,
+        mix,
+        fanout_every: 16,
+        fanout_width: 8,
     }
 }
 
-/// The `q`-quantile of ascending nanosecond samples, in µs (rounded rank;
-/// 0 for no samples).
-pub fn percentile(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx] as f64 / 1_000.0 // ns -> µs
+/// A serving workload's read script as engine requests (shared by the
+/// in-process and wire serving benchmarks).
+pub fn read_requests(w: &ServingWorkload) -> Vec<Vec<MultiMapRead<u32, u32>>> {
+    let to_op = |probe: &ReadProbe| match probe {
+        ReadProbe::ValuesOf(k) => MultiMapRead::ValuesOf(*k),
+        ReadProbe::ContainsKey(k) => MultiMapRead::ContainsKey(*k),
+        ReadProbe::FanOut(ks) => MultiMapRead::FanOut(ks.clone()),
+    };
+    let batches = w.read_batches.iter();
+    batches.map(|b| b.iter().map(to_op).collect()).collect()
 }
 
 /// Per-operation timings of one multi-map implementation on one workload.
@@ -271,18 +294,10 @@ impl HarnessConfig {
     /// Reads the configuration from the environment with paper-scaled
     /// defaults that complete in minutes.
     pub fn from_env() -> HarnessConfig {
-        let max_exp = std::env::var("AXIOM_BENCH_MAX_EXP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(14)
-            .clamp(2, 23);
-        let seeds = std::env::var("AXIOM_BENCH_SEEDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3)
-            .clamp(1, workloads::SEEDS.len());
-        let opts = match std::env::var("AXIOM_BENCH_PROFILE").as_deref() {
-            Ok("thorough") => BenchOptions::THOROUGH,
+        let max_exp = report::knob("AXIOM_BENCH_MAX_EXP", 14u32).clamp(2, 23);
+        let seeds = report::knob("AXIOM_BENCH_SEEDS", 3usize).clamp(1, workloads::SEEDS.len());
+        let opts = match report::knob("AXIOM_BENCH_PROFILE", String::new()).as_str() {
+            "thorough" => BenchOptions::THOROUGH,
             _ => BenchOptions::QUICK,
         };
         HarnessConfig {

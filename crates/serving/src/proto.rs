@@ -279,11 +279,12 @@ pub fn decode_header(
     ))
 }
 
-/// Writes one frame (header + payload) to `w` and flushes.
+/// Writes one frame (header + payload) to `w` in a single `write_all`
+/// and flushes, so a `TCP_NODELAY` socket sends it as one segment.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), WireError> {
-    debug_assert!(frame.payload.len() <= u32::MAX as usize);
-    w.write_all(&encode_header(frame))?;
-    w.write_all(&frame.payload)?;
+    let mut buf = Vec::with_capacity(HEADER_LEN + frame.payload.len());
+    append_frame(&mut buf, frame);
+    w.write_all(&buf)?;
     w.flush()?;
     Ok(())
 }
@@ -399,6 +400,23 @@ mod tests {
             read_frame(&mut reserved.as_slice(), DEFAULT_MAX_PAYLOAD),
             Err(WireError::ReservedNonZero)
         ));
+    }
+
+    #[test]
+    fn write_frame_issues_one_write() {
+        struct CountingWriter(usize);
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountingWriter(0);
+        write_frame(&mut w, &frame()).unwrap();
+        assert_eq!(w.0, 1, "header and payload must go out in one write");
     }
 
     #[test]

@@ -209,7 +209,13 @@ impl<Q, R, E> Client<Q, R, E> {
     /// One request/response exchange on the reused connection.
     fn exchange(&mut self, request: &Frame, want: OpCode) -> Result<Frame, ClientError> {
         write_frame(&mut self.stream, request)?;
-        self.stream.flush()?;
+        self.receive(want)
+    }
+
+    /// Reads the next response frame and accepts it as the answer to a
+    /// `want` request: ratchet the session epoch, then check the status,
+    /// then the op.
+    fn receive(&mut self, want: OpCode) -> Result<Frame, ClientError> {
         let response = read_frame(&mut self.stream, self.max_payload)?;
         // Ratchet from *every* response frame, error frames included —
         // an error frame's epoch is real visibility information (see the
@@ -312,30 +318,24 @@ where
             self.stream.write_all(&buf)?;
             self.stream.flush()?;
             for op in window {
-                let response = read_frame(&mut self.stream, self.max_payload)?;
-                self.last_epoch = self.last_epoch.max(response.epoch);
-                if !response.status.is_ok() {
-                    replies.push(ScriptReply::Failed(response.status));
-                    continue;
-                }
+                let want = match op {
+                    ScriptOp::Read(_) => OpCode::ReadResp,
+                    ScriptOp::Write(_) => OpCode::WriteResp,
+                };
+                let response = match self.receive(want) {
+                    Ok(response) => response,
+                    Err(ClientError::Remote(status)) => {
+                        replies.push(ScriptReply::Failed(status));
+                        continue;
+                    }
+                    Err(e) => return Err(e),
+                };
                 replies.push(match op {
-                    ScriptOp::Read(_) => {
-                        if response.op != OpCode::ReadResp {
-                            return Err(ClientError::Wire(WireError::UnexpectedFrame(response.op)));
-                        }
-                        let batch: Vec<R> =
-                            decode_value(&response.payload).map_err(WireError::Codec)?;
-                        ScriptReply::Read(BatchReply {
-                            epoch: response.epoch,
-                            replies: batch,
-                        })
-                    }
-                    ScriptOp::Write(_) => {
-                        if response.op != OpCode::WriteResp {
-                            return Err(ClientError::Wire(WireError::UnexpectedFrame(response.op)));
-                        }
-                        ScriptReply::Write(response.epoch)
-                    }
+                    ScriptOp::Read(_) => ScriptReply::Read(BatchReply {
+                        epoch: response.epoch,
+                        replies: decode_value(&response.payload).map_err(WireError::Codec)?,
+                    }),
+                    ScriptOp::Write(_) => ScriptReply::Write(response.epoch),
                 });
             }
         }

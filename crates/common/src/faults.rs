@@ -29,8 +29,9 @@ pub mod site {
     /// Inside the applier's guarded apply step: a panic here faults the
     /// drained batches (their tickets resolve with a write fault).
     pub const APPLIER_APPLY: &str = "applier::apply";
-    /// Inside a read worker's guarded answer step: a panic here faults
-    /// the read batch (its ticket resolves with a read fault).
+    /// Inside the guarded answer step of a read batch, in a pool worker
+    /// or a wire connection's reader: a panic here faults that batch
+    /// (it resolves with a read fault).
     pub const READ_WORKER: &str = "read_worker::answer";
     /// Entry of an epoch commit, before the publication lock is taken: a
     /// panic here aborts the publication with nothing published.

@@ -136,8 +136,7 @@ struct ReadJob<S: Serve> {
     /// submission (not at service) makes answering epochs follow
     /// submission order: a caller that submits R1 then R2 never sees R2
     /// answered from an *older* view than R1, no matter which pool
-    /// worker serves which — the property the pipelined wire server
-    /// relies on for monotone per-connection epochs.
+    /// worker serves which.
     snap: S::Snapshot,
     ops: Vec<S::Read>,
     state: Arc<ReadState<S::Reply>>,
@@ -171,8 +170,8 @@ pub struct EngineStats {
     pub txn_commits: u64,
     /// Epoch conflicts observed by transactions (each costs one retry).
     pub txn_conflicts: u64,
-    /// Read batches consumed by a panicking worker (resolved as
-    /// [`ReadError::Faulted`]).
+    /// Read batches whose answering panicked, in a pool worker or in
+    /// [`Engine::execute_at_least`] (resolved as [`ReadError::Faulted`]).
     pub read_faults: u64,
     /// Write tickets resolved with a faulted slice by a panicking applier.
     pub write_faults: u64,
@@ -304,9 +303,9 @@ impl StatsCore {
 /// transactions over one [`Serve`] store.
 ///
 /// - **Reads** go through [`Engine::submit`] (queued, served by the worker
-///   pool) or [`Engine::execute`] (on the caller's thread). Either way a
-///   batch is answered against **one** pinned epoch, so its replies are
-///   mutually consistent across shards.
+///   pool) or [`Engine::execute`] / [`Engine::execute_at_least`] (on the
+///   caller's thread). Either way a batch is answered against **one**
+///   pinned epoch, so its replies are mutually consistent across shards.
 /// - **Writes** go through [`Engine::stage`]: split by shard, queued on
 ///   per-shard admission lanes, applied by one dedicated applier per shard.
 ///   With a bounded [`EngineConfig::lane_capacity`], [`Engine::try_stage`]
@@ -410,20 +409,6 @@ impl<S: Serve> Engine<S> {
         self.submit_pinned(self.store.pin(), ops)
     }
 
-    /// [`Engine::submit`] with a visibility floor: the batch is pinned at
-    /// an epoch `>= min_epoch` *on the calling thread* (blocking via
-    /// [`Serve::pin_after`] until the store publishes one if necessary),
-    /// then queued — the session primitive behind cross-connection
-    /// read-your-writes, and the read path of the pipelined wire server:
-    /// pass the visibility epoch a write ack carried and the reply is
-    /// guaranteed to include that write. A floor of `0` never blocks, but
-    /// a floor above anything the store will ever publish blocks here
-    /// forever, so callers must pre-check against [`Serve::current_epoch`]
-    /// (the wire server rejects such floors up front with `FutureEpoch`).
-    pub fn submit_at_least(&self, min_epoch: u64, ops: Vec<S::Read>) -> ReadTicket<S::Reply> {
-        self.submit_pinned(self.pin_at_least(min_epoch), ops)
-    }
-
     fn submit_pinned(&self, snap: S::Snapshot, ops: Vec<S::Read>) -> ReadTicket<S::Reply> {
         let state = Arc::new(ReadState {
             slot: Mutex::new(None),
@@ -475,6 +460,26 @@ impl<S: Serve> Engine<S> {
     /// single-pin consistency as [`Engine::submit`], no queueing).
     pub fn execute(&self, ops: &[S::Read]) -> BatchReply<S::Reply> {
         self.answer_with(self.store.pin(), ops)
+    }
+
+    /// [`Engine::execute`] with a visibility floor and the pool's job
+    /// guard: the batch is pinned at an epoch `>= min_epoch` (blocking
+    /// via [`Serve::pin_after`] until the store publishes one if
+    /// necessary) and answered on the calling thread. A panic while
+    /// answering faults this batch only ([`ReadError::Faulted`], counted
+    /// in [`EngineStats::read_faults`]). This is the read path of the
+    /// wire server: pass the visibility epoch a write ack carried and
+    /// the reply is guaranteed to include that write. A floor of `0`
+    /// never blocks, but a floor above anything the store will ever
+    /// publish blocks forever, so callers must pre-check against
+    /// [`Serve::current_epoch`] (the wire server rejects such floors up
+    /// front with `FutureEpoch`).
+    pub fn execute_at_least(
+        &self,
+        min_epoch: u64,
+        ops: &[S::Read],
+    ) -> Result<BatchReply<S::Reply>, ReadError> {
+        answer_guarded::<S>(&self.pin_at_least(min_epoch), ops, &self.stats)
     }
 
     /// Pins an epoch `>= min_epoch`, long-polling if the store has not
@@ -717,6 +722,33 @@ fn answer_batch<S: Serve>(snap: &S::Snapshot, ops: &[S::Read]) -> BatchReply<S::
     }
 }
 
+/// The read job guard, shared by the pool workers and
+/// [`Engine::execute_at_least`]: a panic while answering faults this
+/// batch only.
+fn answer_guarded<S: Serve>(
+    snap: &S::Snapshot,
+    ops: &[S::Read],
+    stats: &StatsCore,
+) -> Result<BatchReply<S::Reply>, ReadError> {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        fault_point(site::READ_WORKER);
+        answer_batch::<S>(snap, ops)
+    }));
+    match outcome {
+        Ok(reply) => {
+            stats.read_batches.fetch_add(1, Ordering::Relaxed);
+            stats
+                .read_ops
+                .fetch_add(ops.len() as u64, Ordering::Relaxed);
+            Ok(reply)
+        }
+        Err(_) => {
+            stats.read_faults.fetch_add(1, Ordering::Relaxed);
+            Err(ReadError::Faulted)
+        }
+    }
+}
+
 fn read_worker<S: Serve>(queue: &ReadQueue<S>, stats: &StatsCore) {
     loop {
         let job = {
@@ -732,24 +764,7 @@ fn read_worker<S: Serve>(queue: &ReadQueue<S>, stats: &StatsCore) {
                 jobs = wait_recover(&queue.ready, jobs);
             }
         };
-        // The job guard: a panic while answering faults this batch only.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            fault_point(site::READ_WORKER);
-            answer_batch::<S>(&job.snap, &job.ops)
-        }));
-        let outcome = match outcome {
-            Ok(reply) => {
-                stats.read_batches.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .read_ops
-                    .fetch_add(job.ops.len() as u64, Ordering::Relaxed);
-                Ok(reply)
-            }
-            Err(_) => {
-                stats.read_faults.fetch_add(1, Ordering::Relaxed);
-                Err(ReadError::Faulted)
-            }
-        };
+        let outcome = answer_guarded::<S>(&job.snap, &job.ops, stats);
         *lock_recover(&job.state.slot) = Some(outcome);
         job.state.done.notify_all();
     }

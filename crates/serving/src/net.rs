@@ -1,61 +1,78 @@
 //! The blocking TCP server: an acceptor thread plus one *pair* of
-//! threads per connection — a reader half and a writer half — feeding
-//! the existing [`Engine`] queues.
+//! threads per connection — a reader half that answers reads and a
+//! writer half that resolves write tickets — over one [`Engine`].
 //!
-//! # Pipelined connections
+//! # The reader half answers reads
 //!
-//! The reader half decodes [`proto`](crate::proto) frames off the
-//! socket and dispatches each one into the engine *asynchronously*:
-//! reads go through [`Engine::submit_at_least`] and writes through the
-//! admission lanes ([`Engine::stage`]), both returning tickets
-//! immediately instead of blocking the connection on the answer. Each
-//! dispatched request is pushed — still unresolved — onto a bounded
-//! per-connection completion queue, which the writer half drains in
-//! FIFO order, waiting on each ticket and encoding its response. Because
-//! the queue preserves submission order, the k-th response on a
-//! connection always answers the k-th request (Redis-style pipelining),
-//! while up to [`ServerConfig::pipeline_depth`] frames per connection
-//! overlap inside the engine.
+//! The reader half owns the connection's input buffer: one `read` takes
+//! in every frame that has already arrived, and the frames are handled
+//! in arrival order. A read is answered right there, on the reader
+//! thread, at its pinned floor ([`Engine::execute_at_least`]): a pinned
+//! snapshot is immutable, so no other thread needs to touch it. The
+//! encoded reply goes into an output buffer the reader owns, which is
+//! written to the socket when no complete frame is left in the input
+//! buffer (or once it reaches 64 KiB). A pipelined window of reads thus
+//! costs one `read` and one `write` syscall, and no thread hand-off.
 //!
-//! Pipelining is what lets write batches from *different* connections
+//! # The writer half resolves write tickets
+//!
+//! A write is staged onto the admission lanes ([`Engine::stage`]), which
+//! return a ticket immediately. The reader pushes the unresolved ticket
+//! onto a bounded per-connection completion queue and keeps reading; the
+//! writer half waits on each ticket in FIFO order and writes the ack.
+//! This is what lets write batches from *different* connections
 //! coalesce: many staged batches pile onto the shared admission lanes
 //! while their connections keep reading, and one applier drain commits
 //! them under a single `EpochCell` publication.
 //!
+//! # Reply order
+//!
+//! The k-th response on a connection always answers the k-th request
+//! (Redis-style pipelining), because only the half holding the
+//! connection's *write token* may write to the socket. The writer takes
+//! the token whenever it pops a queued response and frees it once the
+//! queue is empty. The reader takes it only when the queue is empty, so
+//! a reply answered in place can never overtake an ack still pending;
+//! before queueing a write it flushes its buffer and gives the token up.
+//! A reply the reader cannot send itself is queued, already resolved,
+//! behind the work ahead of it. At most
+//! [`ServerConfig::pipeline_depth`] responses wait in the queue.
+//!
 //! Two ordering guarantees hold per connection:
 //!
-//! - **Monotone read epochs.** Reads are pinned at submission (see
-//!   [`Engine::submit`]), so a later read on the same connection is
-//!   never answered from an older epoch than an earlier one. (Write
-//!   acks carry their true publication epochs, which may interleave
-//!   across shards' independent lanes; the barrier below guarantees
-//!   later reads cover them.)
-//! - **Read-your-writes within the pipeline.** Before dispatching a
-//!   read, the reader half settles every write it has dispatched earlier
-//!   on this connection (a write→read barrier) and folds their
-//!   visibility epochs into the connection's floor, so a pipelined
-//!   `write; read` script observes its own write without waiting for the
-//!   write's *response* to come back first.
+//! - **Monotone read epochs.** Reads are answered in request order, each
+//!   at a fresh pin, so a later read on the same connection is never
+//!   answered from an older epoch than an earlier one. (Write acks carry
+//!   their true publication epochs, which may interleave across shards'
+//!   independent lanes; the barrier below guarantees later reads cover
+//!   them.)
+//! - **Read-your-writes within the pipeline.** Before answering a read,
+//!   the reader half settles every write it has dispatched earlier on
+//!   this connection (a write→read barrier) and folds their visibility
+//!   epochs into the connection's floor, so a pipelined `write; read`
+//!   script observes its own write without waiting for the write's
+//!   *response* to go out first.
 //!
 //! Every engine failure mode maps onto a wire [`Status`]: shed
-//! admission → `Overloaded`, expired deadlines → `Deadline`, panicking
-//! workers (or a panic anywhere in dispatch — the reader runs requests
-//! under `catch_unwind`) → `Faulted`, malformed frames → `BadRequest`.
-//! A protocol-level framing error (bad magic, unknown version) poisons
-//! the byte stream, so the connection enqueues one `BadRequest` *behind*
-//! the requests already in flight — they are still answered in order —
-//! and closes; a payload that fails to decode leaves the framing intact
-//! and only fails that request.
+//! admission → `Overloaded`, expired deadlines → `Deadline`, a panic
+//! while answering (the reader runs every request under `catch_unwind`)
+//! → `Faulted`, malformed frames → `BadRequest`. A protocol-level
+//! framing error (bad magic, unknown version) poisons the byte stream,
+//! so the connection answers one `BadRequest` *behind* the requests
+//! already taken — they are still answered in order — and closes; a
+//! payload that fails to decode leaves the framing intact and only fails
+//! that request.
 //!
 //! Shutdown is graceful: [`Server::shutdown`] (or drop) stops the
-//! acceptor, every reader stops taking new requests, and every writer
-//! drains the responses already in its completion queue — ticket waits
-//! included — before the connection closes. Idle connections close at
-//! the next poll tick; a peer trickling a half-finished frame is
-//! abandoned once [`ServerConfig::drain_grace`] expires.
+//! acceptor, every reader stops taking new requests and sends the
+//! replies it buffered, and every writer drains the responses already in
+//! its completion queue — ticket waits included — before the connection
+//! closes. Idle connections close at the next poll tick; a peer
+//! trickling a half-finished frame is abandoned once
+//! [`ServerConfig::drain_grace`] expires.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -69,17 +86,23 @@ use serde::ser::Serialize;
 use trie_common::sync::{lock_recover, wait_recover};
 
 use crate::admit::WriteTicket;
-use crate::engine::{Engine, ReadTicket};
+use crate::engine::Engine;
 use crate::error::Status;
 use crate::proto::{
-    append_frame, decode_header, decode_value, encode_value, Frame, OpCode, DEFAULT_MAX_PAYLOAD,
-    HEADER_LEN,
+    append_frame, decode_header, decode_value, encode_value, Frame, OpCode, WireError,
+    DEFAULT_MAX_PAYLOAD, HEADER_LEN,
 };
 use crate::store::Serve;
 
-/// Responses already resolved past the first one coalesce into a single
-/// socket write until the buffer reaches this size.
+/// Replies coalesce into one socket write until the buffer reaches this
+/// size: the reader's buffered replies, and on the writer half the
+/// already-resolved responses behind the first one.
 const COALESCE_BYTES: usize = 64 * 1024;
+
+/// A connection's input buffer starts at this size. It grows to fit a
+/// larger frame once the frame's header has been validated, and shrinks
+/// back when it drains.
+const INTAKE_BYTES: usize = 16 * 1024;
 
 /// Writes the reader half has dispatched but not yet settled into the
 /// connection floor are pruned (resolved tickets dropped, their epochs
@@ -106,10 +129,9 @@ pub struct ServerConfig {
     /// How long a reader keeps draining a half-received frame after
     /// shutdown begins, before abandoning the connection.
     pub drain_grace: Duration,
-    /// Most requests in flight per connection: the reader half stops
-    /// taking new frames once this many dispatched requests await their
-    /// responses. Clamped to at least 1; depth 1 degenerates to the old
-    /// one-frame-at-a-time ping-pong.
+    /// Most responses queued per connection for the writer half (write
+    /// acks, and replies queued behind them): the reader half stops
+    /// taking new frames while this many await. Clamped to at least 1.
     pub pipeline_depth: usize,
 }
 
@@ -266,19 +288,11 @@ fn accept_loop<S>(
     conns.store(0, Ordering::Release);
 }
 
-/// One dispatched request awaiting its response: either the response is
-/// already known, or a ticket will deliver it. Queued in request order.
-enum Pending<S: Serve> {
-    /// The response frame is already fully determined (errors, stats).
+/// One response the writer half owes, queued in request order: either
+/// already known, or a write ticket that will deliver it.
+enum Pending {
+    /// The response frame is fully determined (a read reply, an error).
     Ready(Frame),
-    /// A read in flight in the engine's read queues. `epoch` is the
-    /// visibility floor it was submitted with, kept for error frames.
-    Read {
-        /// The ticket the writer half waits on.
-        ticket: ReadTicket<S::Reply>,
-        /// Fallback epoch if the read faults before answering.
-        epoch: u64,
-    },
     /// A write staged onto the admission lanes. `epoch` is the published
     /// epoch at dispatch, kept for error frames.
     Write {
@@ -289,22 +303,35 @@ enum Pending<S: Serve> {
     },
 }
 
-impl<S: Serve> Pending<S> {
+impl Pending {
     /// Non-blocking: would resolving this pending response not block?
     fn is_resolved(&self) -> bool {
         match self {
             Pending::Ready(_) => true,
-            Pending::Read { ticket, .. } => ticket.is_done(),
             Pending::Write { ticket, .. } => ticket.try_outcome().is_some(),
         }
     }
 }
 
+/// Which connection half may write to the socket next.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Token {
+    Free,
+    Reader,
+    Writer,
+}
+
+struct ConnState {
+    pending: VecDeque<Pending>,
+    token: Token,
+}
+
 /// The bounded per-connection completion queue between the reader half
-/// (producer) and the writer half (consumer). FIFO order here is what
-/// keeps responses in request order.
-struct ConnQueue<S: Serve> {
-    inner: Mutex<VecDeque<Pending<S>>>,
+/// (producer) and the writer half (consumer), plus the write token. FIFO
+/// order here, and the reader taking the token only while the queue is
+/// empty, is what keeps responses in request order.
+struct ConnQueue {
+    inner: Mutex<ConnState>,
     /// Signalled when a pending response is pushed or the queue closes.
     ready: Condvar,
     /// Signalled when the writer pops and capacity frees up.
@@ -312,14 +339,17 @@ struct ConnQueue<S: Serve> {
     capacity: usize,
     /// Reader is done; the writer drains what remains, then exits.
     closed: AtomicBool,
-    /// The writer's socket died; the reader stops taking requests.
+    /// A socket write failed; both halves stop.
     broken: AtomicBool,
 }
 
-impl<S: Serve> ConnQueue<S> {
-    fn new(capacity: usize) -> ConnQueue<S> {
+impl ConnQueue {
+    fn new(capacity: usize) -> ConnQueue {
         ConnQueue {
-            inner: Mutex::new(VecDeque::new()),
+            inner: Mutex::new(ConnState {
+                pending: VecDeque::new(),
+                token: Token::Free,
+            }),
             ready: Condvar::new(),
             space: Condvar::new(),
             capacity: capacity.max(1),
@@ -328,49 +358,78 @@ impl<S: Serve> ConnQueue<S> {
         }
     }
 
-    /// Enqueues a pending response, blocking while the pipeline is at
-    /// capacity. A broken pipe drops the response — nobody can read it.
-    fn push(&self, pending: Pending<S>) {
-        let mut queue = lock_recover(&self.inner);
-        while queue.len() >= self.capacity && !self.broken.load(Ordering::Acquire) {
-            queue = wait_recover(&self.space, queue);
+    /// Reader: takes the write token if no queued response is ahead of
+    /// the reader's next reply and the writer is not mid-write.
+    fn take_token(&self) -> bool {
+        let mut state = lock_recover(&self.inner);
+        let free = state.pending.is_empty() && state.token == Token::Free;
+        if free {
+            state.token = Token::Reader;
         }
-        if self.broken.load(Ordering::Acquire) {
+        free
+    }
+
+    /// Reader: enqueues a pending response, giving up the write token if
+    /// it holds it, and blocks while the pipeline is at capacity. A
+    /// broken pipe drops the response — nobody can read it.
+    fn push(&self, pending: Pending) {
+        let mut state = lock_recover(&self.inner);
+        if state.token == Token::Reader {
+            state.token = Token::Free;
+        }
+        while state.pending.len() >= self.capacity && !self.is_broken() {
+            state = wait_recover(&self.space, state);
+        }
+        if self.is_broken() {
             return;
         }
-        queue.push_back(pending);
+        state.pending.push_back(pending);
         self.ready.notify_one();
     }
 
-    /// Blocks for the next pending response; `None` once the queue is
-    /// closed and drained (or the pipe broke).
-    fn pop(&self) -> Option<Pending<S>> {
-        let mut queue = lock_recover(&self.inner);
+    /// Writer: blocks for the next pending response and takes the write
+    /// token with it; `None` once the queue is closed and drained (or
+    /// the pipe broke).
+    fn pop(&self) -> Option<Pending> {
+        let mut state = lock_recover(&self.inner);
         loop {
-            if self.broken.load(Ordering::Acquire) {
+            if self.is_broken() {
                 return None;
             }
-            if let Some(pending) = queue.pop_front() {
+            if let Some(pending) = state.pending.pop_front() {
+                // The reader gives the token up before every push, so a
+                // non-empty queue means the reader does not hold it.
+                state.token = Token::Writer;
                 self.space.notify_one();
                 return Some(pending);
             }
             if self.closed.load(Ordering::Acquire) {
                 return None;
             }
-            queue = wait_recover(&self.ready, queue);
+            state = wait_recover(&self.ready, state);
         }
     }
 
-    /// Pops the front only if resolving it would not block — the
+    /// Writer: pops the front only if resolving it would not block — the
     /// coalescing probe: already-resolved responses ride along in the
     /// same socket write, unresolved ones wait for the next.
-    fn pop_resolved(&self) -> Option<Pending<S>> {
-        let mut queue = lock_recover(&self.inner);
-        if queue.front().is_some_and(Pending::is_resolved) {
+    fn pop_resolved(&self) -> Option<Pending> {
+        let mut state = lock_recover(&self.inner);
+        if state.pending.front().is_some_and(Pending::is_resolved) {
             self.space.notify_one();
-            queue.pop_front()
+            state.pending.pop_front()
         } else {
             None
+        }
+    }
+
+    /// Writer: done with a socket write; frees the token once nothing is
+    /// queued, so the reader can answer in place again. Nobody waits for
+    /// the token, so this wakes no one.
+    fn release(&self) {
+        let mut state = lock_recover(&self.inner);
+        if state.pending.is_empty() {
+            state.token = Token::Free;
         }
     }
 
@@ -381,7 +440,8 @@ impl<S: Serve> ConnQueue<S> {
         self.ready.notify_all();
     }
 
-    /// Writer half lost its socket; wakes a reader blocked on capacity.
+    /// A socket write failed; wakes a reader blocked on capacity and an
+    /// idle writer.
     fn break_pipe(&self) {
         let _guard = lock_recover(&self.inner);
         self.broken.store(true, Ordering::Release);
@@ -394,24 +454,181 @@ impl<S: Serve> ConnQueue<S> {
     }
 }
 
-/// What reading the next request frame produced.
-enum NextFrame {
-    /// A well-framed request (its payload may still fail to decode).
-    Frame(Frame),
+/// The reader half's reply path: replies it may send itself are encoded
+/// into `buf`, which goes to the socket when the input drains.
+#[derive(Default)]
+struct Outbox {
+    buf: Vec<u8>,
+    /// The reader holds the write token (`buf` is empty otherwise).
+    token: bool,
+}
+
+impl Outbox {
+    /// Sends one response in request order: a ready reply into the
+    /// buffer when the reader holds (or can take) the write token,
+    /// anything else — a write ticket, or a reply queued behind one —
+    /// through the completion queue after flushing the buffer.
+    fn send(
+        &mut self,
+        stream: &mut TcpStream,
+        queue: &ConnQueue,
+        pending: Pending,
+    ) -> std::io::Result<()> {
+        match pending {
+            Pending::Ready(frame) if self.token || queue.take_token() => {
+                self.token = true;
+                append_frame(&mut self.buf, &frame);
+                if self.buf.len() >= COALESCE_BYTES {
+                    self.flush(stream)?;
+                }
+            }
+            pending => {
+                self.flush(stream)?;
+                self.token = false;
+                queue.push(pending);
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes the buffered replies in one syscall.
+    fn flush(&mut self, stream: &mut TcpStream) -> std::io::Result<()> {
+        if !self.buf.is_empty() {
+            stream.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+}
+
+/// What the input buffer holds next.
+enum Parsed {
+    /// A complete frame: its validated header (payload left in the
+    /// buffer) and its length on the wire.
+    Frame(Frame, usize),
+    /// Not a whole frame yet; the next frame needs this many bytes.
+    Short(usize),
+}
+
+/// What topping up the input buffer produced.
+enum Fill {
+    /// More bytes arrived.
+    Data,
     /// The client closed between frames.
     Closed,
     /// Shutdown began while the connection was idle (or a half-received
     /// frame outlived the drain grace).
     Stopped,
-    /// The byte stream is no longer frame-aligned; unrecoverable.
-    Malformed,
+    /// The socket failed or closed mid-frame; the frame will never finish.
+    Failed,
 }
 
-/// The reader half. Spawns the writer half, then loops: read a frame,
-/// dispatch it into the engine, enqueue the pending response. On exit —
-/// clean close, shutdown, framing loss, or a broken write pipe — it
-/// closes the queue and joins the writer, which drains every response
-/// already in flight before the connection drops.
+/// A connection's input buffer: bytes read off the socket and not yet
+/// consumed as frames, at `buf[start..end]`.
+struct Intake {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// When shutdown found a frame half-received: the end of its grace.
+    drain_deadline: Option<Instant>,
+}
+
+impl Intake {
+    fn new() -> Intake {
+        Intake {
+            buf: vec![0; INTAKE_BYTES],
+            start: 0,
+            end: 0,
+            drain_deadline: None,
+        }
+    }
+
+    /// Parses the next buffered frame's header — validating it, payload
+    /// cap included, before any room is made for the payload.
+    fn next_frame(&self, max_payload: usize) -> Result<Parsed, WireError> {
+        let buffered = &self.buf[self.start..self.end];
+        let Some(header) = buffered.first_chunk::<HEADER_LEN>() else {
+            return Ok(Parsed::Short(HEADER_LEN));
+        };
+        let (frame, payload_len) = decode_header(header, max_payload)?;
+        let len = HEADER_LEN + payload_len;
+        Ok(if buffered.len() >= len {
+            Parsed::Frame(frame, len)
+        } else {
+            Parsed::Short(len)
+        })
+    }
+
+    /// The payload of the next buffered frame, `len` bytes long in all.
+    fn payload(&self, len: usize) -> &[u8] {
+        &self.buf[self.start + HEADER_LEN..self.start + len]
+    }
+
+    fn consume(&mut self, len: usize) {
+        self.start += len;
+    }
+
+    /// One `read` into the buffer, with room for at least `need` bytes of
+    /// the next frame, polling the stop flag while idle.
+    fn fill(
+        &mut self,
+        stream: &mut TcpStream,
+        need: usize,
+        config: &ServerConfig,
+        stop: &AtomicBool,
+    ) -> Fill {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.buf.len() < need {
+            self.buf.resize(need, 0);
+        } else if self.end == 0 && self.buf.len() > INTAKE_BYTES {
+            // Let go of the room a large frame needed.
+            self.buf.truncate(INTAKE_BYTES);
+            self.buf.shrink_to_fit();
+        }
+        loop {
+            let idle = self.end == 0;
+            // The stop check runs before every read — not only when the
+            // socket goes quiet — so a peer trickling one byte per poll
+            // tick still cannot extend the drain past `drain_grace`.
+            if stop.load(Ordering::Acquire) {
+                if idle {
+                    return Fill::Stopped;
+                }
+                // Mid-frame: keep draining, but only for the grace period.
+                let deadline = *self
+                    .drain_deadline
+                    .get_or_insert_with(|| Instant::now() + config.drain_grace);
+                if Instant::now() >= deadline {
+                    return Fill::Stopped;
+                }
+            }
+            match stream.read(&mut self.buf[self.end..]) {
+                Ok(0) if idle => return Fill::Closed,
+                Ok(0) => return Fill::Failed,
+                Ok(n) => {
+                    self.end += n;
+                    return Fill::Data;
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => return Fill::Failed,
+            }
+        }
+    }
+}
+
+/// The reader half. Spawns the writer half, then loops: take every frame
+/// the input buffer holds, answering reads in place and queueing writes;
+/// when the buffer holds no complete frame, send the buffered replies
+/// and read more. On exit — clean close, shutdown, framing loss, or a
+/// broken pipe — it sends what it buffered, closes the queue and joins
+/// the writer, which drains every response still owed before the
+/// connection drops.
 fn handle_connection<S>(
     mut stream: TcpStream,
     engine: &Arc<Engine<S>>,
@@ -428,7 +645,7 @@ where
     stream.set_nonblocking(false)?;
     // Reads wake at every poll tick so an idle reader notices shutdown.
     stream.set_read_timeout(Some(config.poll_interval))?;
-    let queue = Arc::new(ConnQueue::<S>::new(config.pipeline_depth));
+    let queue = Arc::new(ConnQueue::new(config.pipeline_depth));
     let writer = {
         let stream = stream.try_clone()?;
         let queue = Arc::clone(&queue);
@@ -436,16 +653,17 @@ where
         let apply_timeout = config.apply_timeout;
         std::thread::spawn(move || writer_loop(stream, &queue, &engine, apply_timeout))
     };
+    let mut intake = Intake::new();
+    let mut outbox = Outbox::default();
     // Writes dispatched on this connection whose visibility epochs have
     // not yet been folded into `conn_floor` (the write→read barrier).
     let mut pending_writes: Vec<WriteTicket> = Vec::new();
     let mut conn_floor: u64 = 0;
-    loop {
-        if queue.is_broken() {
-            break;
-        }
-        match next_request(&mut stream, config, stop) {
-            NextFrame::Frame(frame) => {
+    let mut sent = Ok(());
+    let mut malformed = false;
+    while sent.is_ok() && !queue.is_broken() {
+        let need = match intake.next_frame(config.max_payload) {
+            Ok(Parsed::Frame(header, len)) => {
                 // The request guard: a panic anywhere in dispatch (a
                 // poisoned store, an injected fault) faults this request,
                 // not the server — answered at the current epoch, the
@@ -453,45 +671,72 @@ where
                 // paths report.
                 let current = engine.store().current_epoch();
                 let pending = catch_unwind(AssertUnwindSafe(|| {
-                    dispatch_async(engine, config, frame, &mut pending_writes, &mut conn_floor)
+                    let payload = intake.payload(len);
+                    dispatch(
+                        engine,
+                        config,
+                        header,
+                        payload,
+                        &mut pending_writes,
+                        &mut conn_floor,
+                    )
                 }))
                 .unwrap_or_else(|_| Pending::Ready(Frame::error(Status::Faulted, current)));
-                queue.push(pending);
+                intake.consume(len);
+                sent = outbox.send(&mut stream, &queue, pending);
                 // Graceful shutdown: everything dispatched (this request
                 // included) will be answered; nothing new is taken.
                 if stop.load(Ordering::Acquire) {
                     break;
                 }
+                continue;
             }
-            NextFrame::Closed | NextFrame::Stopped => break,
-            NextFrame::Malformed => {
-                // Framing is lost: requests already in the pipeline are
-                // still answered in order, then one best-effort error,
-                // then hang up.
-                let current = engine.store().current_epoch();
-                queue.push(Pending::Ready(Frame::error(Status::BadRequest, current)));
+            Ok(Parsed::Short(need)) => need,
+            Err(_) => {
+                malformed = true;
+                break;
+            }
+        };
+        // No complete frame is left: the input has drained, so the
+        // replies buffered so far go out in one write before blocking.
+        sent = outbox.flush(&mut stream);
+        if sent.is_err() {
+            break;
+        }
+        match intake.fill(&mut stream, need, config, stop) {
+            Fill::Data => {}
+            Fill::Closed | Fill::Stopped => break,
+            Fill::Failed => {
+                malformed = true;
                 break;
             }
         }
+    }
+    if malformed && sent.is_ok() {
+        // Framing is lost: requests already taken are still answered in
+        // order, then one best-effort error, then hang up.
+        let current = engine.store().current_epoch();
+        let error = Pending::Ready(Frame::error(Status::BadRequest, current));
+        sent = outbox.send(&mut stream, &queue, error);
+    }
+    if sent.and_then(|()| outbox.flush(&mut stream)).is_err() {
+        queue.break_pipe();
     }
     queue.close();
     let _ = writer.join();
     Ok(())
 }
 
-/// The writer half: drains the completion queue in FIFO order, resolving
-/// each pending response (ticket waits happen here, off the read path)
-/// and writing it back. Consecutive responses that are already resolved
-/// coalesce into one socket write.
-fn writer_loop<S>(
+/// The writer half: drains the completion queue in FIFO order, waiting
+/// on each write ticket (off the read path) and writing the response
+/// back. Consecutive responses that are already resolved coalesce into
+/// one socket write.
+fn writer_loop<S: Serve>(
     mut stream: TcpStream,
-    queue: &ConnQueue<S>,
+    queue: &ConnQueue,
     engine: &Engine<S>,
     apply_timeout: Option<Duration>,
-) where
-    S: Serve,
-    S::Reply: Serialize,
-{
+) {
     let mut buf = Vec::new();
     while let Some(pending) = queue.pop() {
         buf.clear();
@@ -506,32 +751,21 @@ fn writer_loop<S>(
             queue.break_pipe();
             return;
         }
+        queue.release();
     }
 }
 
-/// Turns a pending response into its wire frame, blocking on the ticket
-/// if needed. Error frames carry the freshest visibility information
-/// available: at least the epoch recorded at dispatch, raised to the
-/// currently published epoch at resolution time.
-fn resolve<S>(engine: &Engine<S>, apply_timeout: Option<Duration>, pending: Pending<S>) -> Frame
-where
-    S: Serve,
-    S::Reply: Serialize,
-{
+/// Turns a pending response into its wire frame, blocking on the write
+/// ticket if needed. Error frames carry the freshest visibility
+/// information available: at least the epoch recorded at dispatch,
+/// raised to the currently published epoch at resolution time.
+fn resolve<S: Serve>(
+    engine: &Engine<S>,
+    apply_timeout: Option<Duration>,
+    pending: Pending,
+) -> Frame {
     match pending {
         Pending::Ready(frame) => frame,
-        Pending::Read { ticket, epoch } => match ticket.wait() {
-            Ok(batch) => match encode_value(&batch.replies) {
-                Ok(payload) => Frame {
-                    op: OpCode::ReadResp,
-                    status: Status::Ok,
-                    epoch: batch.epoch,
-                    payload,
-                },
-                Err(_) => Frame::error(Status::Faulted, batch.epoch),
-            },
-            Err(e) => Frame::error(Status::from(e), epoch.max(engine.store().current_epoch())),
-        },
         Pending::Write { ticket, epoch } => {
             let waited = match apply_timeout {
                 Some(timeout) => ticket.wait_timeout(timeout),
@@ -554,95 +788,17 @@ where
     }
 }
 
-/// Reads one frame, polling the stop flag while idle. Distinguishes
-/// "closed between frames" (clean) from "closed mid-frame" (malformed).
-fn next_request(stream: &mut TcpStream, config: &ServerConfig, stop: &AtomicBool) -> NextFrame {
-    let mut header = [0u8; HEADER_LEN];
-    match fill(stream, &mut header, config, stop, true) {
-        Fill::Full => {}
-        Fill::Closed => return NextFrame::Closed,
-        Fill::Stopped => return NextFrame::Stopped,
-        Fill::Failed => return NextFrame::Malformed,
-    }
-    let (mut frame, payload_len) = match decode_header(&header, config.max_payload) {
-        Ok(parsed) => parsed,
-        Err(_) => return NextFrame::Malformed,
-    };
-    if payload_len > 0 {
-        let mut payload = vec![0u8; payload_len];
-        match fill(stream, &mut payload, config, stop, false) {
-            Fill::Full => frame.payload = payload,
-            Fill::Closed | Fill::Stopped => return NextFrame::Stopped,
-            Fill::Failed => return NextFrame::Malformed,
-        }
-    }
-    NextFrame::Frame(frame)
-}
-
-enum Fill {
-    Full,
-    Closed,
-    Stopped,
-    Failed,
-}
-
-/// `read_exact` with stop-flag polling. `idle` marks the read as sitting
-/// between frames: a clean close or a stop before the first byte is not
-/// an error there, while mid-frame both mean the frame will never finish.
-fn fill(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    config: &ServerConfig,
-    stop: &AtomicBool,
-    idle: bool,
-) -> Fill {
-    let mut filled = 0;
-    let mut drain_deadline: Option<Instant> = None;
-    while filled < buf.len() {
-        // The stop check runs at the top of every iteration — not only
-        // when the socket goes quiet — so a peer trickling one byte per
-        // poll tick (which never hits the `WouldBlock` arm) still cannot
-        // extend the drain past `drain_grace`.
-        if stop.load(Ordering::Acquire) {
-            if filled == 0 && idle {
-                return Fill::Stopped;
-            }
-            // Mid-frame: keep draining, but only for the grace period —
-            // a stalled or trickling peer must not block shutdown.
-            let deadline =
-                *drain_deadline.get_or_insert_with(|| Instant::now() + config.drain_grace);
-            if Instant::now() >= deadline {
-                return Fill::Stopped;
-            }
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 && idle {
-                    Fill::Closed
-                } else {
-                    Fill::Failed
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return Fill::Failed,
-        }
-    }
-    Fill::Full
-}
-
-/// Dispatches one request into the engine without waiting for its
-/// answer, returning what the writer half should eventually send.
-fn dispatch_async<S>(
+/// Handles one request frame on the reader thread: a read is answered in
+/// place at its pinned floor, a write is staged and its ticket returned
+/// for the writer half to wait on.
+fn dispatch<S>(
     engine: &Engine<S>,
     config: &ServerConfig,
-    frame: Frame,
+    header: Frame,
+    payload: &[u8],
     pending_writes: &mut Vec<WriteTicket>,
     conn_floor: &mut u64,
-) -> Pending<S>
+) -> Pending
 where
     S: Serve,
     S::Read: for<'de> Deserialize<'de>,
@@ -650,19 +806,19 @@ where
     S::Edit: for<'de> Deserialize<'de>,
 {
     let current = engine.store().current_epoch();
-    if !frame.status.is_ok() || !frame.op.is_request() {
+    if !header.status.is_ok() || !header.op.is_request() {
         return Pending::Ready(Frame::error(Status::BadRequest, current));
     }
-    match frame.op {
+    match header.op {
         OpCode::ReadReq => {
-            let ops: Vec<S::Read> = match decode_value(&frame.payload) {
+            let ops: Vec<S::Read> = match decode_value(payload) {
                 Ok(ops) => ops,
                 Err(_) => return Pending::Ready(Frame::error(Status::BadRequest, current)),
             };
             // A floor above everything published would park this read in
             // `pin_after` forever; acks always trail publication, so a
             // floor from a real session is never ahead of `current`.
-            if frame.epoch > current {
+            if header.epoch > current {
                 return Pending::Ready(Frame::error(Status::FutureEpoch, current));
             }
             // The write→read barrier: settle every write dispatched
@@ -670,15 +826,22 @@ where
             // (read-your-writes within a pipeline). Tickets settle here,
             // not responses — the writer half may still be behind.
             settle_writes(pending_writes, conn_floor, config.apply_timeout);
-            let floor = frame.epoch.max(*conn_floor);
-            let ticket = engine.submit_at_least(floor, ops);
-            Pending::Read {
-                ticket,
-                epoch: current.max(floor),
-            }
+            let floor = header.epoch.max(*conn_floor);
+            Pending::Ready(match engine.execute_at_least(floor, &ops) {
+                Ok(batch) => match encode_value(&batch.replies) {
+                    Ok(payload) => Frame {
+                        op: OpCode::ReadResp,
+                        status: Status::Ok,
+                        epoch: batch.epoch,
+                        payload,
+                    },
+                    Err(_) => Frame::error(Status::Faulted, batch.epoch),
+                },
+                Err(e) => Frame::error(Status::from(e), floor.max(engine.store().current_epoch())),
+            })
         }
         OpCode::WriteReq => {
-            let edits: Vec<S::Edit> = match decode_value(&frame.payload) {
+            let edits: Vec<S::Edit> = match decode_value(payload) {
                 Ok(edits) => edits,
                 Err(_) => return Pending::Ready(Frame::error(Status::BadRequest, current)),
             };

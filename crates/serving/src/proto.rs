@@ -291,8 +291,8 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), WireError> 
 
 /// Appends one frame's wire bytes to `buf` without touching a socket —
 /// the batching primitive underneath pipelining: a client window or a
-/// server writer half packs many frames into one buffer and pays a
-/// single `write_all` for all of them.
+/// server connection's replies pack many frames into one buffer and pay
+/// a single `write_all` for all of them.
 pub fn append_frame(buf: &mut Vec<u8>, frame: &Frame) {
     debug_assert!(frame.payload.len() <= u32::MAX as usize);
     buf.extend_from_slice(&encode_header(frame));
@@ -417,6 +417,33 @@ mod tests {
         let mut w = CountingWriter(0);
         write_frame(&mut w, &frame()).unwrap();
         assert_eq!(w.0, 1, "header and payload must go out in one write");
+    }
+
+    #[test]
+    fn buffered_reads_take_back_to_back_frames_in_one_read() {
+        struct CountingReader<'a> {
+            bytes: &'a [u8],
+            reads: usize,
+        }
+        impl Read for CountingReader<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.reads += 1;
+                self.bytes.read(buf)
+            }
+        }
+        let mut wire = Vec::new();
+        append_frame(&mut wire, &frame());
+        append_frame(&mut wire, &Frame::error(Status::Deadline, 7));
+        let mut r = std::io::BufReader::new(CountingReader {
+            bytes: &wire,
+            reads: 0,
+        });
+        assert_eq!(read_frame(&mut r, DEFAULT_MAX_PAYLOAD).unwrap(), frame());
+        assert_eq!(
+            read_frame(&mut r, DEFAULT_MAX_PAYLOAD).unwrap(),
+            Frame::error(Status::Deadline, 7)
+        );
+        assert_eq!(r.get_ref().reads, 1, "both frames must come from one read");
     }
 
     #[test]

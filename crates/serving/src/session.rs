@@ -36,8 +36,9 @@
 //! replies are collected before the next window goes out. This bounds
 //! how many response bytes can pile up in the socket ahead of the
 //! client reading them — with an unbounded window, both directions'
-//! kernel buffers can fill and deadlock the exchange. Keep the window
-//! modest if replies are huge (e.g. large `Scan`s).
+//! kernel buffers can fill and deadlock the exchange (the server stops
+//! reading while its replies cannot be written). Keep the window modest
+//! if requests or replies are huge (e.g. large `Scan`s).
 //!
 //! # Timed-out writes and visibility
 //!
@@ -54,7 +55,7 @@
 //! until any subsequent frame raises the floor past it. Treat
 //! `Deadline` on a write as "outcome unknown", not "did not happen".
 
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::marker::PhantomData;
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -139,7 +140,10 @@ pub enum ScriptReply<R> {
 /// [`Serve`](crate::Serve) vocabulary. Use the aliases ([`MapClient`],
 /// [`SetClient`], [`MultiMapClient`]) for the built-in stores.
 pub struct Client<Q, R, E> {
-    stream: TcpStream,
+    /// Responses are read through the buffer, so a reply frame usually
+    /// costs one `read` syscall; requests are written to the stream
+    /// underneath it.
+    stream: BufReader<TcpStream>,
     max_payload: usize,
     last_epoch: u64,
     pipeline_window: usize,
@@ -169,7 +173,7 @@ impl<Q, R, E> Client<Q, R, E> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Client {
-            stream,
+            stream: BufReader::new(stream),
             max_payload,
             last_epoch: 0,
             pipeline_window: 32,
@@ -208,7 +212,7 @@ impl<Q, R, E> Client<Q, R, E> {
 
     /// One request/response exchange on the reused connection.
     fn exchange(&mut self, request: &Frame, want: OpCode) -> Result<Frame, ClientError> {
-        write_frame(&mut self.stream, request)?;
+        write_frame(self.stream.get_mut(), request)?;
         self.receive(want)
     }
 
@@ -315,8 +319,8 @@ where
                 };
                 append_frame(&mut buf, &frame);
             }
-            self.stream.write_all(&buf)?;
-            self.stream.flush()?;
+            self.stream.get_mut().write_all(&buf)?;
+            self.stream.get_mut().flush()?;
             for op in window {
                 let want = match op {
                     ScriptOp::Read(_) => OpCode::ReadResp,
@@ -346,7 +350,7 @@ where
 impl<Q, R, E> std::fmt::Debug for Client<Q, R, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Client")
-            .field("peer", &self.stream.peer_addr().ok())
+            .field("peer", &self.stream.get_ref().peer_addr().ok())
             .field("last_epoch", &self.last_epoch)
             .finish()
     }

@@ -14,7 +14,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use proptest::prelude::*;
 
-use axiom_repro::serving::{Engine, EngineConfig, MapRead, MapReply, WriteError};
+use axiom_repro::serving::session::MapClient;
+use axiom_repro::serving::{
+    ClientError, Engine, EngineConfig, MapRead, MapReply, Server, Status, WriteError,
+};
 use axiom_repro::sharded::{ShardedMap, ShardedMultiMap};
 use axiom_repro::trie_common::ops::{MapEdit, MultiMapEdit};
 use axiom_repro::trie_common::snapshot::SnapshotError;
@@ -166,6 +169,44 @@ fn read_worker_panic_faults_one_batch_then_recovers() {
         0,
         "job guards absorb the panic"
     );
+}
+
+/// Wire reads are answered on the connection's reader thread under the
+/// same job guard: a planned panic faults exactly one wire read, with the
+/// published epoch on its error frame, the next read on the same
+/// connection answers, and the fault is counted.
+#[test]
+fn read_answer_panic_faults_one_wire_read_then_recovers() {
+    let _serial = serialize();
+    let store: Arc<ShardedMap<u32, u32>> = Arc::new(ShardedMap::with_shards(2));
+    let engine = Arc::new(engine_over(&store));
+    let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").expect("bind loopback");
+    let mut writer: MapClient<u32, u32> = MapClient::connect(server.local_addr()).unwrap();
+    let epoch = writer
+        .write(vec![MapEdit::Insert(9, 90)])
+        .expect("setup write");
+
+    // A fresh session (floor 0) learns an epoch only from the error frame.
+    let mut reader: MapClient<u32, u32> = MapClient::connect(server.local_addr()).unwrap();
+    let guard = faults::install(faults::FaultPlan::new().panic_at(site::READ_WORKER, 0));
+    match reader.read(vec![MapRead::Get(9)]) {
+        Err(ClientError::Remote(Status::Faulted)) => {}
+        other => panic!("the hit read must fault, got {other:?}"),
+    }
+    assert_eq!(
+        reader.last_epoch(),
+        epoch,
+        "Faulted frame carries the published epoch"
+    );
+    let reply = reader
+        .read(vec![MapRead::Get(9)])
+        .expect("the next read on the connection answers");
+    assert_eq!(reply.replies[0], MapReply::Value(Some(90)));
+    drop(guard);
+    let stats = reader.stats().expect("stats answer");
+    assert_eq!(stats.read_faults, 1);
+    assert_eq!(stats.worker_respawns, 0);
+    server.shutdown();
 }
 
 /// A panic at the publish-commit site happens before the epoch lock is

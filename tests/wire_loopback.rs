@@ -4,19 +4,25 @@
 //! Covers the session contract (a write ack's visibility epoch makes the
 //! write readable from *any* connection resumed at that epoch), concurrent
 //! clients, all three store vocabularies, the remote `Stats` op, the
-//! engine failure statuses crossing the wire as their stable codes, and
-//! graceful shutdown finishing in-flight requests.
+//! engine failure statuses crossing the wire as their stable codes,
+//! graceful shutdown finishing in-flight requests, replies answered in
+//! place never overtaking a pending write ack, and the server's buffered
+//! intake taking coalesced and dribbled request bytes alike.
 
 use std::collections::BTreeMap;
-use std::net::SocketAddr;
+use std::io::{ErrorKind, Write as _};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use axiom_repro::serving::proto::{
+    append_frame, decode_value, encode_value, read_frame, DEFAULT_MAX_PAYLOAD,
+};
 use axiom_repro::serving::session::{MapClient, MultiMapClient, SetClient};
 use axiom_repro::serving::{
-    ClientError, Engine, EngineConfig, MapRead, MapReply, MultiMapRead, MultiMapReply, Serve,
-    Server, ServerConfig, SetRead, SetReply, Status,
+    ClientError, Engine, EngineConfig, Frame, MapRead, MapReply, MultiMapRead, MultiMapReply,
+    OpCode, Serve, Server, ServerConfig, SetRead, SetReply, Status,
 };
 use axiom_repro::sharded::{EpochConflict, ShardedMap, ShardedMultiMap, ShardedSet};
 use axiom_repro::trie_common::ops::{MapEdit, MultiMapEdit, SetEdit};
@@ -461,8 +467,6 @@ fn graceful_shutdown_finishes_the_inflight_request() {
 #[test]
 fn trickling_peer_cannot_stall_shutdown_past_drain_grace() {
     use axiom_repro::serving::proto::{HEADER_LEN, WIRE_MAGIC, WIRE_VERSION};
-    use axiom_repro::serving::OpCode;
-    use std::io::Write as _;
 
     let store: Arc<ShardedMap<u32, u32>> = Arc::new(ShardedMap::with_shards(1));
     let engine = Arc::new(Engine::new(store));
@@ -623,5 +627,124 @@ fn idle_acceptor_reaps_finished_handlers() {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(live, 0, "finished handlers held until shutdown");
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// The reader half answers reads in place from a buffered intake; these pin
+// down the reply order against pending write acks and the intake's framing,
+// speaking raw frames so the test controls what is on the wire when.
+// ---------------------------------------------------------------------------
+
+/// Encodes one request frame whose payload is `value`.
+fn request<T: serde::Serialize>(op: OpCode, epoch: u64, value: &T) -> Vec<u8> {
+    let mut wire = Vec::new();
+    append_frame(
+        &mut wire,
+        &Frame::request(op, epoch, encode_value(value).unwrap()),
+    );
+    wire
+}
+
+fn next_frame(stream: &mut TcpStream) -> Frame {
+    read_frame(stream, DEFAULT_MAX_PAYLOAD).expect("response frame")
+}
+
+#[test]
+fn replies_never_overtake_a_pending_write_ack() {
+    let store = Arc::new(GatedStore::new(2));
+    let engine = Arc::new(Engine::new(Arc::clone(&store)));
+    let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect raw");
+    raw.set_nodelay(true).unwrap();
+
+    // A write that blocks in the applier until the gate opens, then a
+    // read whose floor is in the future: the reader rejects it without
+    // waiting for the write, but the rejection must still queue behind
+    // the pending ack.
+    let mut wire = request(OpCode::WriteReq, 0, &vec![MapEdit::Insert(5u32, 50u32)]);
+    wire.extend(request(
+        OpCode::ReadReq,
+        u64::MAX,
+        &vec![MapRead::<u32>::Len],
+    ));
+    raw.write_all(&wire).unwrap();
+    store.await_applies(1);
+    raw.set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    let early = raw.peek(&mut [0u8; 1]);
+
+    // Eight reads behind the blocked write, pipelined in one segment.
+    let mut wire = Vec::new();
+    for _ in 0..8 {
+        wire.extend(request(
+            OpCode::ReadReq,
+            0,
+            &vec![MapRead::Get(5u32), MapRead::Len],
+        ));
+    }
+    raw.write_all(&wire).unwrap();
+    // Open the gate before asserting, so a failure cannot leave the
+    // server's shutdown waiting on the blocked write.
+    store.write_gate.open();
+    assert!(
+        matches!(&early, Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)),
+        "a reply overtook the pending write ack: {early:?}"
+    );
+
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let ack = next_frame(&mut raw);
+    assert_eq!((ack.op, ack.status), (OpCode::WriteResp, Status::Ok));
+    let rejected = next_frame(&mut raw);
+    assert_eq!(
+        (rejected.op, rejected.status),
+        (OpCode::ErrorResp, Status::FutureEpoch)
+    );
+    for slot in 0..8 {
+        let reply = next_frame(&mut raw);
+        assert_eq!(reply.op, OpCode::ReadResp, "slot {slot}");
+        assert!(
+            reply.epoch >= ack.epoch,
+            "read {slot} answered at {} < ack {}",
+            reply.epoch,
+            ack.epoch
+        );
+        let replies: Vec<MapReply<u32, u32>> = decode_value(&reply.payload).unwrap();
+        assert_eq!(replies, vec![MapReply::Value(Some(50)), MapReply::Count(1)]);
+    }
+    server.shutdown();
+}
+
+#[test]
+fn buffered_intake_answers_coalesced_and_dribbled_requests() {
+    let (engine, server, addr) = spawn_map_server(2);
+    engine
+        .stage((0..3u32).map(|k| MapEdit::Insert(k, k)))
+        .wait()
+        .unwrap();
+    let mut raw = TcpStream::connect(addr).expect("connect raw");
+    raw.set_nodelay(true).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let len = request(OpCode::ReadReq, 0, &vec![MapRead::<u32>::Len]);
+    let expect_len = |raw: &mut TcpStream| {
+        let frame = next_frame(raw);
+        assert_eq!(frame.op, OpCode::ReadResp);
+        let replies: Vec<MapReply<u32, u32>> = decode_value(&frame.payload).unwrap();
+        assert_eq!(replies, vec![MapReply::Count(3)]);
+    };
+
+    // Two requests in one segment: one server read takes in both.
+    raw.write_all(&[len.as_slice(), len.as_slice()].concat())
+        .unwrap();
+    expect_len(&mut raw);
+    expect_len(&mut raw);
+
+    // One request a byte at a time: every partial header and payload
+    // must wait for the rest, then answer.
+    for byte in &len {
+        raw.write_all(std::slice::from_ref(byte)).unwrap();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    expect_len(&mut raw);
     server.shutdown();
 }
